@@ -4,26 +4,36 @@ semi-algebraic sets.
 Every value here is the exact integer evaluation of the finite sum in the
 corresponding bound; asymptotic growth rates are reported only as text
 annotations (their exponent constants are not pinned, so no number would be
-honest).  Sum evaluation refuses to start when the number of terms would
-exceed the configured cap.
+honest).
+
+Every summand of a bound is a product of per-block factors, so the sum over
+tuples of partitions is evaluated as the product over blocks of per-block
+sums over ``Par(k, min(t, k))``; no tuple is enumerated.  A block's factor
+needs only the target's best split multiplicity, counted backwards from the
+target.  In the equivariant and projection sums every split factor is 1, and
+a block sum is a closed form in the counts of partitions by length.
+
+Evaluation refuses to start when the paper's sum has more lambda-terms than
+the cap; the terms are counted, not enumerated.  The ``workers`` keyword is
+accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import comb
-from typing import Callable, Iterable, Sequence
+from math import comb, prod
+from typing import Sequence
 
 from .admissible import fits_in_corner, restriction_threshold
 from .errors import DomainError, EnumerationCapExceeded
-from .induction import max_split_multiplicities
+from .induction import _peel_multiplicity
 from .partitions import (
     Partition,
     PartitionTuple,
+    count_exact_length,
     count_partitions,
     enumerate_partitions,
+    splits,
 )
 
 DEFAULT_TERM_CAP = 10_000_000
@@ -115,30 +125,8 @@ def _check_term_cap(weights, thresholds, cap: int) -> None:
         )
 
 
-def _lambda_tuples(weights, thresholds) -> Iterable[tuple[Partition, ...]]:
-    factors = [enumerate_partitions(k, min(t, k)) for k, t in zip(weights, thresholds)]
-    return itertools.product(*factors)
-
-
-def _chunks(iterable, size):
-    it = iter(iterable)
-    while True:
-        block = list(itertools.islice(it, size))
-        if not block:
-            return
-        yield block
-
-
-def _summed(terms: Iterable, term_value: Callable, workers: int) -> int:
-    if workers <= 1:
-        return sum(term_value(t) for t in terms)
-    total = 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for partial in pool.map(
-            lambda block: sum(term_value(t) for t in block), _chunks(terms, 512)
-        ):
-            total += partial
-    return total
+def _best_split(mu: Partition, lam: Partition, memo: dict) -> int:
+    return max(_peel_multiplicity(mu, a, b, memo) for a, b in splits(lam))
 
 
 def g_factor(
@@ -158,25 +146,31 @@ def g_factor(
         raise DomainError(
             f"component weights differ: {mu_tuple.weights} vs {lam_tuple.weights}"
         )
+    memo: dict = {}
     total = 1
     for mu, lam, m in zip(mu_tuple, lam_tuple, widths):
-        mult = max_split_multiplicities(lam).get(mu, 0)
+        mult = _best_split(mu, lam, memo)
         if mult == 0:
             return 0
         total *= (2 * d) ** (m * len(lam)) * mult
     return total
 
 
-def _core_sum(
-    mu_tuple: PartitionTuple, params: BoundParams, cap: int, workers: int
-) -> int:
+def _core_sum(mu_tuple: PartitionTuple, params: BoundParams, cap: int) -> int:
     thresholds = params.thresholds
     _check_term_cap(params.weights, thresholds, cap)
-
-    def term(lam_tuple):
-        return g_factor(mu_tuple, lam_tuple, params.degree, params.widths)
-
-    return _summed(_lambda_tuples(params.weights, thresholds), term, workers)
+    memo: dict = {}
+    total = 1
+    for mu, k, t, m in zip(mu_tuple, params.weights, thresholds, params.widths):
+        base = (2 * params.degree) ** m
+        block = sum(
+            base ** len(lam) * _best_split(mu, lam, memo)
+            for lam in enumerate_partitions(k, min(t, k))
+        )
+        if block == 0:
+            return 0
+        total *= block
+    return total
 
 
 _POLY_NOTE = (
@@ -204,7 +198,7 @@ def affine_multiplicity_bound(
         fits_in_corner(c, t) for c, t in zip(mu_tuple, params.thresholds)
     ):
         return BoundReport(0, "affine", params, mu_tuple, True, _POLY_NOTE)
-    value = _core_sum(mu_tuple, params, cap, workers)
+    value = _core_sum(mu_tuple, params, cap)
     return BoundReport(value, "affine", params, mu_tuple, value == 0, _POLY_NOTE)
 
 
@@ -238,7 +232,7 @@ def sa_multiplicity_bound(
     """Bound for closed semi-algebraic sets cut out by ``params.polys``
     symmetric polynomials: the affine sum times a binomial prefactor."""
     prefactor = sa_prefactor(params)
-    affine = affine_multiplicity_bound(mu, params, cap=cap, workers=workers)
+    affine = affine_multiplicity_bound(mu, params, cap=cap)
     if affine.excluded:
         return BoundReport(0, "semialgebraic", params, affine.target, True, _POLY_NOTE)
     return BoundReport(
@@ -266,13 +260,16 @@ def _member_of_admissible_tuple(
     if not all(fits_in_corner(c, t) for c, t in zip(mu_tuple, thresholds)):
         return False
     _check_term_cap(weights, thresholds, cap)
-    for lam_tuple in _lambda_tuples(weights, thresholds):
-        if all(
-            c in max_split_multiplicities(lam)
-            for c, lam in zip(mu_tuple, lam_tuple)
-        ):
-            return True
-    return False
+    memo: dict = {}
+    # a tuple is a member iff each block's target has a nonzero split
+    return all(
+        any(
+            _peel_multiplicity(mu, triv, sign, memo)
+            for lam in enumerate_partitions(k, min(t, k))
+            for triv, sign in splits(lam)
+        )
+        for mu, k, t in zip(mu_tuple, weights, thresholds)
+    )
 
 
 def complex_multiplicity_bound(
@@ -297,7 +294,7 @@ def complex_multiplicity_bound(
     )
     value = 0
     if all(fits_in_corner(c, t) for c, t in zip(mu_tuple, doubled.thresholds)):
-        value = _core_sum(mu_tuple, doubled, cap, workers)
+        value = _core_sum(mu_tuple, doubled, cap)
     excluded = value == 0 and not _member_of_admissible_tuple(
         mu_tuple, doubled.weights, exclusion_thresholds, cap
     )
@@ -329,9 +326,7 @@ def projective_multiplicity_bound(
         letters = k + 1
     inner_params = BoundParams((letters,), (1,), d)
     target = Partition(mu) if mu is not None else Partition((letters,))
-    inner = complex_multiplicity_bound(
-        target, inner_params, cap=cap, workers=workers
-    )
+    inner = complex_multiplicity_bound(target, inner_params, cap=cap)
     note = (
         f"projective dimension {k}: fibration comparison multiplies the complex "
         f"affine bound by floor(k/2)+1 = {k // 2 + 1}; " + _POLY_NOTE
@@ -343,6 +338,14 @@ def projective_multiplicity_bound(
         inner.target,
         inner.excluded,
         note,
+    )
+
+
+def _by_length(k: int, max_length: int, base: int) -> int:
+    # sum of base**len(lam) over Par(k, max_length), grouped by length
+    return sum(
+        count_exact_length(k, length) * base**length
+        for length in range(1, min(max_length, k) + 1)
     )
 
 
@@ -359,14 +362,10 @@ def equivariant_bound(
     params = BoundParams(tuple(weights), tuple(widths), d)
     thresholds = params.thresholds
     _check_term_cap(params.weights, thresholds, cap)
-
-    def term(lam_tuple):
-        total = 1
-        for lam, m in zip(lam_tuple, params.widths):
-            total *= (2 * d) ** (m * len(lam))
-        return total
-
-    value = _summed(_lambda_tuples(params.weights, thresholds), term, workers)
+    value = prod(
+        _by_length(k, t, (2 * d) ** m)
+        for k, t, m in zip(params.weights, thresholds, params.widths)
+    )
     return BoundReport(value, "equivariant", params, None, False, _POLY_NOTE)
 
 
@@ -383,7 +382,8 @@ def projection_image_bound(
 
     Exact sum over the symmetric fiber powers of the projection: the
     ``p``-th summand is the equivariant bound for ``k`` singleton blocks
-    plus one block of ``p + 1`` fiber copies of width ``m``.
+    plus one block of ``p + 1`` fiber copies of width ``m``, and each
+    singleton block contributes the factor ``2d``.
     """
     if k < 1 or m < 1 or d < 1:
         raise DomainError("projection bound needs positive k, m, d")
@@ -395,13 +395,10 @@ def projection_image_bound(
         raise EnumerationCapExceeded(
             f"projection bound sums {total_terms} terms, above the cap of {cap}"
         )
-    value = 0
-    for p in range(k):
-        block_weights = (1,) * k + (p + 1,)
-        block_widths = (1,) * k + (m,)
-        value += equivariant_bound(
-            block_weights, block_widths, d, cap=cap, workers=workers
-        ).value
+    fiber_base = (2 * d) ** m
+    value = (2 * d) ** k * sum(
+        _by_length(p + 1, fiber_threshold, fiber_base) for p in range(k)
+    )
     params = BoundParams((k,), (m,), d)
     note = (
         "sum of equivariant bounds over the symmetric fiber powers of the "

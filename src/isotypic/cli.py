@@ -283,7 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=bounds.DEFAULT_TERM_CAP,
         help="refuse bound sums with more terms than this",
     )
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility; has no effect on values, output or speed",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partitions", help="enumerate partitions of k")

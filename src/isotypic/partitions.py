@@ -142,23 +142,26 @@ def enumerate_partitions(k: int, max_length: int | None = None) -> list[Partitio
     return list(_partitions(k, cap))
 
 
-@lru_cache(maxsize=None)
-def _count_at_most(n: int, length: int) -> int:
-    # partitions of n into at most `length` parts
-    if n == 0:
-        return 1
-    if length == 0:
-        return 0
-    if length > n:
-        length = n
-    return _count_at_most(n, length - 1) + _count_at_most(n - length, length)
+@lru_cache(maxsize=1024)
+def _count_at_most(n: int, length: int) -> tuple[int, ...]:
+    # entry j: partitions of n into at most j parts, for j = 0..length.  By
+    # conjugation these are the partitions of n into parts of size at most
+    # j, counted by adding one allowed part size at a time to a table over
+    # 0..n; a loop, so no recursion depth grows with n.
+    ways = [1] + [0] * n
+    counts = [ways[n]]
+    for size in range(1, length + 1):
+        for total in range(size, n + 1):
+            ways[total] += ways[total - size]
+        counts.append(ways[n])
+    return tuple(counts)
 
 
 def count_partitions(k: int, max_length: int | None = None) -> int:
     """card(Par(k)) or card(Par(k, max_length)), without enumerating."""
     if k < 0:
         raise DomainError("cannot partition a negative integer")
-    return _count_at_most(k, k if max_length is None else min(max_length, k))
+    return _count_at_most(k, k if max_length is None else min(max_length, k))[-1]
 
 
 def count_exact_length(k: int, length: int) -> int:
@@ -169,7 +172,8 @@ def count_exact_length(k: int, length: int) -> int:
         return 1 if k == 0 else 0
     if length > k:
         return 0
-    return _count_at_most(k, length) - _count_at_most(k, length - 1)
+    counts = _count_at_most(k, length)
+    return counts[length] - counts[length - 1]
 
 
 def dominates(mu: Sequence[int], lam: Sequence[int]) -> bool:
@@ -231,18 +235,20 @@ def splits(lam: Sequence[int]) -> list[tuple[Partition, Partition]]:
     trivial ones with an empty side.
     """
     lam = Partition(lam)
-    counts = Counter(lam)
-    values = sorted(counts, reverse=True)
-    out = []
-    for take in itertools.product(*(range(counts[v], -1, -1) for v in values)):
-        left: list[int] = []
-        right: list[int] = []
-        for v, t in zip(values, take):
-            left.extend([v] * t)
-            right.extend([v] * (counts[v] - t))
-        out.append((Partition(left), Partition(right)))
-    out.sort(key=lambda pair: pair[0], reverse=True)
-    return out
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    # Counter keeps first-seen order, which is descending for a partition.
+    # Taking more copies of larger values first yields the left sides in
+    # descending order, so no sort is needed.
+    for value, count in Counter(lam).items():
+        pairs = [
+            (left + (value,) * taken, right + (value,) * (count - taken))
+            for left, right in pairs
+            for taken in range(count, -1, -1)
+        ]
+    return [
+        (Partition._from_valid(left), Partition._from_valid(right))
+        for left, right in pairs
+    ]
 
 
 def _parse_partition_at(text: str, i: int) -> tuple[Partition, int]:

@@ -1,6 +1,7 @@
 import pytest
 
 from isotypic import (
+    DEFAULT_TERM_CAP,
     BoundParams,
     BoundReport,
     DomainError,
@@ -9,11 +10,13 @@ from isotypic import (
     PartitionTuple,
     affine_multiplicity_bound,
     complex_multiplicity_bound,
+    enumerate_partition_tuples,
     enumerate_partitions,
     equivariant_bound,
     g_factor,
     general_position_degree,
     kostka,
+    max_split_multiplicities,
     projection_image_bound,
     projective_multiplicity_bound,
     sa_multiplicity_bound,
@@ -21,6 +24,7 @@ from isotypic import (
     splits,
     split_multiplicity,
 )
+from isotypic.bounds import _member_of_admissible_tuple
 
 # frozen after first computation; k = 1..10 per row
 PROJECTIVE_GOLDEN = {
@@ -224,3 +228,103 @@ def test_multi_block_bound():
     # terms factor over blocks, so the sum is the product of per-block sums
     per_block = affine_multiplicity_bound((2,), BoundParams((2,), (1,), 1)).value
     assert report.value == per_block**2
+
+
+# Independent check paths.  Production evaluates each bound as a product of
+# per-block sums with backward-peeled multiplicities; these walk every
+# lambda-tuple of the paper's sum and read the forward Pieri tables.
+
+
+def brute_affine_sum(mu_tuple, weights, widths, d):
+    thresholds = [(2 * d) ** m for m in widths]
+    total = 0
+    for lam_tuple in enumerate_partition_tuples(weights, thresholds):
+        term = 1
+        for mu, lam, m in zip(mu_tuple, lam_tuple, widths):
+            term *= (2 * d) ** (m * len(lam)) * max_split_multiplicities(lam).get(mu, 0)
+        total += term
+    return total
+
+
+def brute_member(mu_tuple, weights, thresholds):
+    return any(
+        all(mu in max_split_multiplicities(lam) for mu, lam in zip(mu_tuple, lam_tuple))
+        for lam_tuple in enumerate_partition_tuples(weights, thresholds)
+    )
+
+
+def brute_equivariant(weights, widths, d):
+    thresholds = [(2 * d) ** m for m in widths]
+    total = 0
+    for lam_tuple in enumerate_partition_tuples(weights, thresholds):
+        term = 1
+        for lam, m in zip(lam_tuple, widths):
+            term *= (2 * d) ** (m * len(lam))
+        total += term
+    return total
+
+
+def test_g_factor_agrees_with_forward_table():
+    for k in range(1, 10):
+        shapes = enumerate_partitions(k)
+        for lam in shapes:
+            table = max_split_multiplicities(lam)
+            for mu in shapes:
+                for d, m in ((1, 1), (2, 1), (1, 3)):
+                    expected = (2 * d) ** (m * len(lam)) * table.get(mu, 0)
+                    assert g_factor([mu], [lam], d, (m,)) == expected
+
+
+MULTI_BLOCK_CASES = [
+    ((3, 2), (1, 2)),
+    ((5, 4), (2, 1)),
+    ((4, 3, 2), (1, 1, 2)),
+    ((7, 3, 2), (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("weights,widths", MULTI_BLOCK_CASES)
+def test_block_product_matches_tuple_sum(weights, widths):
+    targets = enumerate_partition_tuples(weights, weights)
+    for d in (1, 2):
+        params = BoundParams(weights, widths, d)
+        assert equivariant_bound(weights, widths, d).value == brute_equivariant(
+            weights, widths, d
+        )
+        doubled = tuple(2 * m for m in widths)
+        exclusion = [(4 * d) ** (2 * m) for m in widths]
+        for mu in targets:
+            affine = affine_multiplicity_bound(mu, params)
+            assert affine.value == brute_affine_sum(mu, weights, widths, d)
+            assert affine.excluded == (affine.value == 0)
+            cplx = complex_multiplicity_bound(mu, params)
+            assert cplx.value == brute_affine_sum(mu, weights, doubled, d)
+            assert cplx.excluded == (
+                cplx.value == 0 and not brute_member(mu, weights, exclusion)
+            )
+
+
+@pytest.mark.parametrize(
+    "weights,thresholds", [((7,), (2,)), ((7, 3), (2, 2)), ((6, 4, 2), (2, 3, 1))]
+)
+def test_exclusion_membership_matches_tuple_search(weights, thresholds):
+    # small thresholds, so that some targets are not members
+    verdicts = [
+        _member_of_admissible_tuple(mu, weights, thresholds, DEFAULT_TERM_CAP)
+        for mu in enumerate_partition_tuples(weights, weights)
+    ]
+    assert not all(verdicts)
+    assert verdicts == [
+        brute_member(mu, weights, thresholds)
+        for mu in enumerate_partition_tuples(weights, weights)
+    ]
+
+
+def test_projection_matches_sum_of_fiber_powers():
+    for k in range(1, 9):
+        for m in (1, 2):
+            for d in (1, 2):
+                expected = sum(
+                    (2 * d) ** k * brute_equivariant((p + 1,), (m,), d) for p in range(k)
+                )
+                assert projection_image_bound(k, m, d).value == expected

@@ -156,6 +156,16 @@ def test_exit_codes(capsys):
     assert exit_info.value.code == 2
 
 
+def test_bounds_at_large_weight(capsys):
+    code, out, err = run_cli(capsys, "bound", "equivariant", "--k", "2000", "--d", "1", "--m", "1")
+    assert code == 0 and err == ""
+    assert out.strip() == str(1 * 2 + 1000 * 4)  # lengths 1 and 2, weighted by (2d)^l
+    # the trivial target at k=1200: no step may recurse once per row or cell
+    code, out, err = run_cli(capsys, "bound", "affine", "--k", "1200", "--d", "1", "--m", "1", "--mu", "[1200]")
+    assert code == 0 and err == ""
+    assert out.strip() == str(1 * 2 + 600 * 4)  # the trivial target's split factors are 1
+
+
 def test_cap_flag_reaches_bounds(capsys):
     code, out, _ = run_cli(capsys, "--cap", "1000000", "bound", "equivariant", "--k", "8", "--d", "1")
     assert code == 0

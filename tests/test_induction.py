@@ -23,6 +23,7 @@ from isotypic import (
     tuple_outer,
     young_module,
 )
+from isotypic.induction import _peel_multiplicity
 
 
 @st.composite
@@ -271,3 +272,20 @@ def test_max_split_multiplicities_table():
                     split_module(triv, sign)[mu] for triv, sign in splits(lam)
                 )
                 assert table.get(mu, 0) == direct
+
+
+@st.composite
+def split_case(draw, max_weight=10):
+    n = draw(st.integers(min_value=0, max_value=max_weight))
+    a = draw(st.integers(min_value=0, max_value=n))
+    triv = draw(st.sampled_from(enumerate_partitions(a)))
+    sign = draw(st.sampled_from(enumerate_partitions(n - a)))
+    mu = draw(st.sampled_from(enumerate_partitions(n)))
+    return mu, triv, sign
+
+
+@given(split_case())
+def test_peel_agrees_with_forward_pieri_and_kostka_lr(case):
+    mu, triv, sign = case
+    peeled = _peel_multiplicity(mu, triv, sign, {})
+    assert peeled == split_module(triv, sign)[mu] == split_multiplicity(mu, triv, sign)

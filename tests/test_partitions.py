@@ -85,6 +85,12 @@ def test_count_partitions_agrees_with_enumeration():
             assert count_partitions(k, cap) == len(enumerate_partitions(k, cap))
 
 
+def test_count_partitions_large_weight():
+    # no recursion depth grows with k
+    assert count_partitions(2000, 2) == 1001
+    assert count_partitions(2000, 3) == 334334  # round((n + 3)^2 / 12)
+
+
 def test_transpose_examples():
     assert Partition((2, 1)).transpose() == (2, 1)
     assert Partition((5,)).transpose() == (1, 1, 1, 1, 1)
