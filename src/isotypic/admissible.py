@@ -1,11 +1,32 @@
 """Admissible irreducibles for symmetric sets of bounded degree.
 
-The admissible set for parameters (k, d, m) is the union, over all
-partitions of k with at most (2d)^m parts, of the irreducibles reachable
-from some split of that partition.  Membership is computed exactly; the
-row/column restriction test is only a fast necessary filter (it admits
-partitions, such as (4,2,1) for threshold 2, that exact enumeration rules
-out).
+The admissible set I(k, d, m) is the union, over all partitions of k with
+at most T = (2d)^m parts and over every split of such a partition, of the
+irreducibles in the split module.  It has a closed form:
+
+    I(k, d, m) = { mu |- k : mu_{a+1} <= T - a for some 0 <= a <= T },
+
+the union of the (a, T - a) hooks, tested in O(T) per partition.  Proof in
+three steps.  The partitions of length at most T and their splits give
+every pair (alpha, beta) with l(alpha) + l(beta) <= T, and the split module
+of (alpha, beta) is the induction product of the Young module M^alpha and
+the sign twist of M^beta.
+
+1. Young's rule: M^alpha contains S^nu exactly when nu dominates alpha.
+2. Balanced partition: every nu |- p with l(nu) <= a dominates the
+   balanced partition of p into a parts, and nothing that dominates a
+   partition with a parts has more than a parts.  So the trivial sides
+   with a rows reach exactly the nu with l(nu) <= a, and the sign sides
+   with b rows exactly the rho with rho_1 <= b.
+3. Berele-Regev (hook Schur functions, Adv. Math. 1987): the LR products
+   S^nu . S^rho with l(nu) <= a and rho_1 <= b reach exactly the mu with
+   mu_{a+1} <= b.  Taking b = T - a, the largest allowed, gives the union.
+
+The per-partition reachable sets (``admissible_for_partition``, built from
+the forward Pieri tables) have no closed form; they stay as the
+independent check path.  The row/column restriction test is only a fast
+necessary filter (it admits partitions, such as (4,2,1) for threshold 2,
+that the exact set rules out).
 """
 
 from __future__ import annotations
@@ -40,6 +61,11 @@ def fits_in_corner(mu: Sequence[int], threshold: int) -> bool:
 def restriction_check(mu: Sequence[int], d: int, m: int) -> bool:
     """Necessary condition for membership in the admissible set at (d, m)."""
     return fits_in_corner(mu, restriction_threshold(d, m))
+
+
+def _in_hook_union(mu: Partition, t: int) -> bool:
+    # mu lies in the (a, t - a) hook for some a: the closed form above
+    return any(mu.part(a) <= t - a for a in range(t + 1))
 
 
 @lru_cache(maxsize=None)
@@ -96,20 +122,13 @@ class AdmissibleSet:
         return sorted(self.members, reverse=True)
 
 
-@lru_cache(maxsize=None)
-def _admissible_set(k: int, d: int, m: int) -> AdmissibleSet:
-    threshold = restriction_threshold(d, m)
-    members: set[Partition] = set()
-    for lam in enumerate_partitions(k, threshold):
-        members |= admissible_for_partition(lam)
-    return AdmissibleSet((k,), (d,), (m,), frozenset(members))
-
-
 def admissible_set(k: int, d: int, m: int) -> AdmissibleSet:
     """The exact admissible set for a single symmetric group."""
     if k < 0:
         raise DomainError("weight must be nonnegative")
-    return _admissible_set(k, d, m)
+    t = restriction_threshold(d, m)
+    members = frozenset(mu for mu in enumerate_partitions(k) if _in_hook_union(mu, t))
+    return AdmissibleSet((k,), (d,), (m,), members)
 
 
 def admissible_set_tuple(
@@ -131,8 +150,5 @@ def admissible_set_tuple(
 
 
 def is_admissible(mu: Sequence[int], d: int, m: int) -> bool:
-    """Exact membership test for a single partition, with the fast filter first."""
-    mu = Partition(mu)
-    if not restriction_check(mu, d, m):
-        return False
-    return mu in admissible_set(mu.weight, d, m).members
+    """Exact membership test for a single partition, without building the set."""
+    return _in_hook_union(Partition(mu), restriction_threshold(d, m))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Sequence
 
-from .admissible import fits_in_corner, restriction_threshold
+from .admissible import _in_hook_union, fits_in_corner, restriction_threshold
 from .errors import DomainError, EnumerationCapExceeded
 from .induction import _peel_multiplicity
 from .partitions import (
@@ -260,16 +260,7 @@ def _member_of_admissible_tuple(
     if not all(fits_in_corner(c, t) for c, t in zip(mu_tuple, thresholds)):
         return False
     _check_term_cap(weights, thresholds, cap)
-    memo: dict = {}
-    # a tuple is a member iff each block's target has a nonzero split
-    return all(
-        any(
-            _peel_multiplicity(mu, triv, sign, memo)
-            for lam in enumerate_partitions(k, min(t, k))
-            for triv, sign in splits(lam)
-        )
-        for mu, k, t in zip(mu_tuple, weights, thresholds)
-    )
+    return all(_in_hook_union(mu, t) for mu, t in zip(mu_tuple, thresholds))
 
 
 def complex_multiplicity_bound(

@@ -16,6 +16,7 @@ from typing import Sequence
 from . import bounds
 from .admissible import (
     admissible_set,
+    is_admissible,
     restriction_check,
     restriction_threshold,
 )
@@ -142,7 +143,7 @@ def _cmd_iset(args) -> int:
         else:
             if k > ISET_ENUMERATION_MAX_K:
                 _refuse_iset_enumeration(k, d, m)
-            verdict = mu in admissible_set(k, d, m)
+            verdict = is_admissible(mu, d, m)
         _emit(
             args,
             {"mu": str(mu), "member": verdict},

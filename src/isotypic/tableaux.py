@@ -14,7 +14,7 @@ from math import factorial
 from typing import Sequence
 
 from .errors import DomainError
-from .partitions import Partition, dominates
+from .partitions import Partition
 
 
 def hook_lengths(lam: Sequence[int]) -> dict[tuple[int, int], int]:
@@ -194,9 +194,15 @@ def horizontal_strip_restrictions(mu: Sequence[int], n: int) -> list[Partition]:
 def _kostka(mu: Partition, lam: Partition) -> int:
     if not lam:
         return 1 if not mu else 0
-    if not dominates(mu, lam):
-        return 0
-    head = Partition(lam[:-1])
+    # dominance on valid partitions of equal weight: past the shorter one its
+    # prefix sum is the whole weight, so comparing up to there is enough
+    sum_mu = sum_lam = 0
+    for a, b in zip(mu, lam):
+        sum_mu += a
+        sum_lam += b
+        if sum_mu < sum_lam:
+            return 0
+    head = Partition._from_valid(lam[:-1])
     # the cells holding the largest entry form a horizontal strip at the border
     return sum(_kostka(nu, head) for nu in horizontal_strip_restrictions(mu, lam[-1]))
 

@@ -1,6 +1,10 @@
+import time
+
 import pytest
+from hypothesis import given, strategies as st
 
 from isotypic import (
+    DEFAULT_TERM_CAP,
     AdmissibleSet,
     DomainError,
     Partition,
@@ -9,13 +13,16 @@ from isotypic import (
     admissible_for_partition,
     admissible_set,
     admissible_set_tuple,
+    count_partitions,
     enumerate_partitions,
     is_admissible,
     restriction_check,
     restriction_threshold,
     split_module,
+    split_multiplicity,
     splits,
 )
+from isotypic.bounds import _member_of_admissible_tuple
 
 # cardinalities of I(k, 1, 1) for k = 1..12, frozen from exhaustive enumeration
 ISET_CARDS_D1_M1 = [1, 2, 3, 5, 7, 10, 11, 14, 15, 18, 19, 22]
@@ -143,3 +150,97 @@ def test_membership_helper_agrees_with_enumeration():
         iset = admissible_set(k, 1, 1)
         for mu in enumerate_partitions(k):
             assert is_admissible(mu, 1, 1) == (mu in iset)
+
+
+def forward_pieri_union(k, t):
+    """The admissible set as its definition reads: the support of every
+    split module of every partition of k with at most t parts."""
+    members = set()
+    for lam in enumerate_partitions(k, t):
+        members |= admissible_for_partition(lam)
+    return members
+
+
+def staircase(t):
+    return Partition(tuple(range(t + 1, 0, -1)))
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (1, 2), (1, 3), (2, 2)])
+def test_closed_form_matches_forward_pieri_union(d, m):
+    t = restriction_threshold(d, m)
+    for k in range(13):
+        assert admissible_set(k, d, m).members == forward_pieri_union(k, t)
+
+
+@pytest.mark.parametrize("t", [3, 5])
+def test_closed_form_at_thresholds_that_are_not_powers(t):
+    # (2d)^m is never 3 or 5; the closed form must not rely on that
+    seen_nonmember = False
+    for k in range(1, 12):
+        support = forward_pieri_union(k, t)
+        for mu in enumerate_partitions(k):
+            member = _member_of_admissible_tuple(
+                PartitionTuple([mu]), (k,), (t,), DEFAULT_TERM_CAP
+            )
+            assert member == (mu in support)
+            seen_nonmember |= not member
+    assert seen_nonmember == (t == 3)  # the 5-staircase weighs 21
+
+
+@st.composite
+def membership_case(draw, max_weight=10):
+    k = draw(st.integers(min_value=0, max_value=max_weight))
+    mu = draw(st.sampled_from(enumerate_partitions(k)))
+    d, m = draw(st.sampled_from([(1, 1), (2, 1), (1, 2)]))
+    return mu, d, m
+
+
+@given(membership_case())
+def test_membership_agrees_with_kostka_lr_search(case):
+    mu, d, m = case
+    t = restriction_threshold(d, m)
+    reached = any(
+        split_multiplicity(mu, triv, sign) > 0
+        for lam in enumerate_partitions(mu.weight, t)
+        for triv, sign in splits(lam)
+    )
+    assert is_admissible(mu, d, m) == reached
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (2, 1), (1, 3)])
+def test_staircase_is_not_admissible(d, m):
+    t = restriction_threshold(d, m)
+    corner = staircase(t)
+    assert corner.weight == (t + 1) * (t + 2) // 2
+    assert not is_admissible(corner, d, m)
+    # the row/column filter alone does not see it
+    assert restriction_check(corner, d, m)
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (2, 1)])
+def test_nonmembers_are_the_partitions_containing_the_staircase(d, m):
+    t = restriction_threshold(d, m)
+    corner = staircase(t)
+    for k in range(corner.weight + 4):
+        got = admissible_set(k, d, m)
+        assert got.members == {
+            mu for mu in enumerate_partitions(k) if not mu.contains(corner)
+        }
+        if k < corner.weight:
+            assert len(got) == len(enumerate_partitions(k))
+
+
+def test_everything_below_the_staircase_weight_is_admissible_at_threshold_8():
+    # the 8-staircase weighs 45, so no partition of 44 is left out
+    assert len(admissible_set(44, 1, 3)) == count_partitions(44)
+
+
+def test_membership_at_large_weight_needs_no_enumeration():
+    # Par(200) has about 4e12 members, so only a direct test can answer
+    start = time.perf_counter()
+    assert is_admissible((198, 1, 1), 1, 1)
+    assert not is_admissible((100, 50, 25, 12, 6, 3, 2, 1, 1), 1, 1)
+    assert is_admissible((1,) * 200, 1, 3)
+    assert not is_admissible(staircase(8) + (1,) * 155, 1, 3)
+    assert is_admissible(staircase(8)[1:] + (1,) * 164, 1, 3)
+    assert time.perf_counter() - start < 0.3

@@ -75,6 +75,17 @@ def test_iset_command(capsys):
     assert out.splitlines() == ["[4]", "[3,1]", "[2,2]", "[2,1,1]", "[1,1,1,1]"]
 
 
+def test_iset_at_the_enumeration_cutoff(capsys):
+    # at threshold 8 the smallest non-member weighs 45, so I(25, 1, 3) is all of Par(25)
+    code, out, err = run_cli(capsys, "iset", "25", "1", "3")
+    assert code == 0 and err == "" and out == "1958\n"
+    code, out, err = run_cli(capsys, "--format", "json", "iset", "25", "1", "3")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "k": 25, "d": 1, "m": 3, "threshold": 8, "cardinality": "1958",
+    }
+
+
 def test_iset_enumeration_refusal(capsys):
     code, out, err = run_cli(capsys, "iset", "26", "1", "1")
     assert code == 4
