@@ -21,7 +21,6 @@ from .tableaux import (
     _horizontal_strips_above,
     _kostka,
     _vertical_strips_above,
-    kostka,
     lr_coefficient,
     specht_dim,
 )
@@ -189,15 +188,16 @@ def irreducible(key, mult: int = 1) -> Decomposition:
 def young_module(lam: Sequence[int]) -> Decomposition:
     """Module induced from the trivial representation of the Young subgroup.
 
-    Multiplicities are the Kostka numbers with content ``lam``.
+    Multiplicities are the Kostka numbers with content ``lam``.  Built by one
+    Pieri row step per part, largest part first: every shape a step reaches
+    has a nonzero multiplicity, so no partition of the weight is tried and
+    discarded.
     """
     lam = Partition(lam)
-    terms = {}
-    for mu in enumerate_partitions(lam.weight):
-        c = kostka(mu, lam)
-        if c:
-            terms[mu] = c
-    return Decomposition(terms, ambient=lam.weight)
+    dec = Decomposition._from_valid({Partition(): 1}, 0)
+    for part in lam:
+        dec = pieri_row(dec, part)
+    return dec
 
 
 def pieri_row(dec: Decomposition, n: int) -> Decomposition:
@@ -248,16 +248,8 @@ def outer_product(d1: Decomposition, d2: Decomposition) -> Decomposition:
 
 
 @lru_cache(maxsize=None)
-def _row_phase(triv: Partition) -> Decomposition:
-    dec = Decomposition({Partition(): 1}, ambient=0)
-    for p in triv:
-        dec = pieri_row(dec, p)
-    return dec
-
-
-@lru_cache(maxsize=None)
 def _split_module(triv: Partition, sign: Partition) -> Decomposition:
-    dec = _row_phase(triv)
+    dec = young_module(triv)
     for q in sign:
         dec = pieri_col(dec, q)
     return dec
@@ -268,20 +260,22 @@ def split_module(triv: Sequence[int], sign: Sequence[int]) -> Decomposition:
     on ``sign`` parts, computed by iterated Pieri steps (rows first, then
     columns; associativity makes the order immaterial).
 
-    Cached: the row phase is shared by every split with the same trivial
-    side, which admissible-set enumeration hits constantly.
+    The whole module, forward from the empty shape: the CLI's
+    ``split-module`` and the check path (``max_split_multiplicities``) use
+    it.  A single multiplicity is cheaper through ``split_multiplicity``.
     """
     return _split_module(Partition(triv), Partition(sign))
 
 
 def split_multiplicity(mu: Sequence[int], triv: Sequence[int], sign: Sequence[int]) -> int:
-    """Multiplicity of ``mu`` in the split module, via Kostka numbers and
-    Littlewood-Richardson coefficients instead of Pieri iteration.
+    """Multiplicity of ``mu`` in the split module, counted backwards from
+    ``mu`` by ``_peel_multiplicity`` instead of building the module.
 
-    The two halves of the inducing subgroup contribute independently: the
-    trivial side expands with content ``triv``, the sign side expands with
-    transposed shapes against content ``sign`` (inducing a sign factor
-    twists every label), and the halves are glued by an LR coefficient.
+    Tensoring with the sign character transposes every label and swaps the
+    two sides, so the multiplicity of ``mu`` for (``triv``, ``sign``) equals
+    that of ``mu``'s transpose for (``sign``, ``triv``).  The peel takes one
+    step per sign part and a Kostka number against ``triv``; the side with
+    more parts is put on the Kostka side.
     """
     mu = Partition(mu)
     triv = Partition(triv)
@@ -290,19 +284,9 @@ def split_multiplicity(mu: Sequence[int], triv: Sequence[int], sign: Sequence[in
         raise DomainError(
             f"weight mismatch: {mu.weight} != {triv.weight} + {sign.weight}"
         )
-    total = 0
-    for nu1 in enumerate_partitions(triv.weight):
-        c1 = kostka(nu1, triv)
-        if c1 == 0:
-            continue
-        for nu2 in enumerate_partitions(sign.weight):
-            c2 = kostka(nu2.transpose(), sign)
-            if c2 == 0:
-                continue
-            c = lr_coefficient(mu, nu1, nu2)
-            if c:
-                total += c1 * c2 * c
-    return total
+    if len(sign) > len(triv):
+        mu, triv, sign = mu.transpose(), sign, triv
+    return _peel_multiplicity(mu, triv, sign, {})
 
 
 def _vertical_strips_below(mu: Partition, n: int) -> list[Partition]:
@@ -409,7 +393,8 @@ def max_split_multiplicities(lam: Sequence[int]) -> Mapping[Partition, int]:
     """For each ``mu``, the largest split multiplicity over all splits of ``lam``.
 
     The support of this table is exactly the set of irreducibles reachable
-    from ``lam``; it is cached per ``lam`` because admissible-set and bound
-    enumerations revisit the same partitions constantly.
+    from ``lam``.  It is the check path: it builds every split module
+    forward, while the admissible sets use the closed form of
+    ``admissible`` and the bounds peel each multiplicity from its target.
     """
     return _max_split_table(Partition(lam))

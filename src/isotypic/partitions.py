@@ -113,7 +113,7 @@ def _partitions(k: int, max_length: int) -> tuple[Partition, ...]:
 
     def rec(remaining: int, max_part: int, rows_left: int, prefix: list[int]) -> None:
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(Partition._from_valid(tuple(prefix)))
             return
         if rows_left == 0:
             return

@@ -1,9 +1,10 @@
 """Hook lengths, irreducible dimensions, Kostka numbers, Littlewood-Richardson coefficients.
 
 Kostka and LR values are memoized in unbounded caches keyed by canonical
-partition tuples; admissible-set enumeration revisits the same coefficients
-heavily.  The caches only ever hold finished values, so concurrent readers
-and writers observe value-identical results.
+partition tuples; the Kostka recursion, and the backward peel of
+``induction._peel_multiplicity`` over the targets and splits of a bound,
+revisit the same numbers heavily.  The caches only ever hold finished
+values, so concurrent readers and writers observe value-identical results.
 """
 
 from __future__ import annotations

@@ -33,6 +33,17 @@ def test_scalar_commands(capsys):
     assert json.loads(out) == {"value": "2112"}
 
 
+def test_split_mult_at_weight_50_peels_instead_of_summing(capsys):
+    # A Kostka/LR double sum over Par(28) x Par(22) needs some 15 s for this
+    # query; the backward peel needs a fraction of a second.  CI runs the same
+    # command under a timeout.
+    argv = ("split-mult", "[12,10,8,6,4,3,2,2,1,1,1]", "[10,8,6,4]", "[7,5,4,3,2,1]")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out.strip() == "7516374" and err == ""
+    code, out, err = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0 and json.loads(out) == {"value": "7516374"} and err == ""
+
+
 def test_decomposition_commands(capsys):
     code, out, _ = run_cli(capsys, "young", "[2,1]")
     assert code == 0 and out.strip() == "1*[3] + 1*[2,1]"

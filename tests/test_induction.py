@@ -12,7 +12,9 @@ from isotypic import (
     enumerate_partitions,
     irreducible,
     kostka,
+    lr_coefficient,
     max_split_multiplicities,
+    oracle_count_ssyt,
     outer_product,
     pieri_col,
     pieri_row,
@@ -24,6 +26,30 @@ from isotypic import (
     young_module,
 )
 from isotypic.induction import _peel_multiplicity
+
+
+def kostka_lr_split_multiplicity(mu, triv, sign):
+    """The split multiplicity by the Kostka/LR route, the check path.
+
+    The two halves of the inducing subgroup contribute independently: the
+    trivial side expands with content ``triv``, the sign side expands with
+    transposed shapes against content ``sign`` (inducing a sign factor
+    twists every label), and the halves are glued by an LR coefficient.
+    """
+    mu, triv, sign = Partition(mu), Partition(triv), Partition(sign)
+    total = 0
+    for nu1 in enumerate_partitions(triv.weight):
+        c1 = kostka(nu1, triv)
+        if c1 == 0:
+            continue
+        for nu2 in enumerate_partitions(sign.weight):
+            c2 = kostka(nu2.transpose(), sign)
+            if c2 == 0:
+                continue
+            c = lr_coefficient(mu, nu1, nu2)
+            if c:
+                total += c1 * c2 * c
+    return total
 
 
 @st.composite
@@ -289,3 +315,51 @@ def test_peel_agrees_with_forward_pieri_and_kostka_lr(case):
     mu, triv, sign = case
     peeled = _peel_multiplicity(mu, triv, sign, {})
     assert peeled == split_module(triv, sign)[mu] == split_multiplicity(mu, triv, sign)
+
+
+def test_split_multiplicity_matches_kostka_lr_route_exhaustively():
+    for k in range(0, 7):
+        for a in range(0, k + 1):
+            for triv in enumerate_partitions(a):
+                for sign in enumerate_partitions(k - a):
+                    for mu in enumerate_partitions(k):
+                        assert split_multiplicity(mu, triv, sign) == kostka_lr_split_multiplicity(
+                            mu, triv, sign
+                        )
+
+
+@given(split_case())
+def test_split_multiplicity_matches_kostka_lr_route(case):
+    mu, triv, sign = case
+    assert split_multiplicity(mu, triv, sign) == kostka_lr_split_multiplicity(mu, triv, sign)
+
+
+@given(split_case(max_weight=14))
+def test_split_multiplicity_conjugation_swaps_sides(case):
+    mu, triv, sign = case
+    value = split_multiplicity(mu, triv, sign)
+    assert value == split_multiplicity(mu.transpose(), sign, triv)
+    # split_multiplicity picks one side to peel; both sides must agree
+    assert value == _peel_multiplicity(mu, triv, sign, {})
+    assert value == _peel_multiplicity(mu.transpose(), sign, triv, {})
+
+
+def test_young_module_multiplicities_are_kostka_numbers():
+    assert young_module(()) == Decomposition({(): 1}, ambient=0)
+    for k in range(0, 9):
+        shapes = enumerate_partitions(k)
+        for lam in shapes:
+            dec = young_module(lam)
+            assert dec.ambient == k
+            assert len(dec) == sum(1 for mu in shapes if kostka(mu, lam))
+            for mu in shapes:
+                assert dec[mu] == kostka(mu, lam)
+
+
+def test_young_module_matches_tableau_oracle():
+    for k in range(0, 8):
+        shapes = enumerate_partitions(k)
+        for lam in shapes:
+            dec = young_module(lam)
+            for mu in shapes:
+                assert dec[mu] == oracle_count_ssyt(mu, lam)
