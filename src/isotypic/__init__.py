@@ -3,7 +3,7 @@
 Partitions and their order theory, Specht dimensions, Kostka and
 Littlewood-Richardson numbers, decompositions of induced modules, admissible
 supports for bounded-degree symmetric sets, and exact multiplicity bounds.
-All arithmetic is exact (arbitrary-precision integers and rationals).
+All arithmetic is exact (arbitrary-precision integers).
 """
 
 from .admissible import (

@@ -32,13 +32,13 @@ that the exact set rules out).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError
 from .induction import max_split_multiplicities
 from .partitions import Partition, PartitionTuple, enumerate_partitions
+from .records import Record
 
 
 def restriction_threshold(d: int, m: int) -> int:
@@ -92,14 +92,19 @@ def _product_into(out: set, factor_sets: list) -> None:
         out.add(PartitionTuple(combo))
 
 
-@dataclass(frozen=True)
-class AdmissibleSet:
+class AdmissibleSet(Record):
     """An admissible set together with the parameters that produced it."""
 
-    weights: tuple[int, ...]
-    degrees: tuple[int, ...]
-    widths: tuple[int, ...]
-    members: frozenset
+    __slots__ = ("weights", "degrees", "widths", "members")
+
+    def __init__(
+        self,
+        weights: tuple[int, ...],
+        degrees: tuple[int, ...],
+        widths: tuple[int, ...],
+        members: frozenset,
+    ):
+        self._set(weights, degrees, widths, members)
 
     @property
     def thresholds(self) -> tuple[int, ...]:

@@ -20,7 +20,6 @@ accepted for compatibility and has no effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, prod
 from typing import Sequence
 
@@ -35,12 +34,12 @@ from .partitions import (
     enumerate_partitions,
     splits,
 )
+from .records import Record
 
 DEFAULT_TERM_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(Record):
     """Parameter record shared by the bound evaluators.
 
     ``weights`` and ``widths`` describe the block structure (one symmetric
@@ -49,24 +48,28 @@ class BoundParams:
     of defining polynomials and only matters for the semi-algebraic bound.
     """
 
-    weights: tuple[int, ...]
-    widths: tuple[int, ...]
-    degree: int
-    polys: int | None = None
+    __slots__ = ("weights", "widths", "degree", "polys")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "widths", tuple(self.widths))
-        if len(self.weights) != len(self.widths):
+    def __init__(
+        self,
+        weights: Sequence[int],
+        widths: Sequence[int],
+        degree: int,
+        polys: int | None = None,
+    ):
+        weights = tuple(weights)
+        widths = tuple(widths)
+        if len(weights) != len(widths):
             raise DomainError("weights and widths must have equal arity")
-        if not self.weights:
+        if not weights:
             raise DomainError("at least one block is required")
-        if any(k < 1 for k in self.weights) or any(m < 1 for m in self.widths):
+        if any(k < 1 for k in weights) or any(m < 1 for m in widths):
             raise DomainError("weights and widths must be positive")
-        if self.degree < 1:
+        if degree < 1:
             raise DomainError("degree must be positive")
-        if self.polys is not None and self.polys < 1:
+        if polys is not None and polys < 1:
             raise DomainError("number of polynomials must be positive")
+        self._set(weights, widths, degree, polys)
 
     @property
     def thresholds(self) -> tuple[int, ...]:
@@ -79,16 +82,21 @@ class BoundParams:
         return data
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Exact bound value plus the parameters and rule that produced it."""
 
-    value: int
-    theorem: str
-    params: BoundParams
-    target: PartitionTuple | Partition | None = None
-    excluded: bool = False
-    asymptotic_note: str = ""
+    __slots__ = ("value", "theorem", "params", "target", "excluded", "asymptotic_note")
+
+    def __init__(
+        self,
+        value: int,
+        theorem: str,
+        params: BoundParams,
+        target: PartitionTuple | Partition | None = None,
+        excluded: bool = False,
+        asymptotic_note: str = "",
+    ):
+        self._set(value, theorem, params, target, excluded, asymptotic_note)
 
     def to_json_dict(self) -> dict:
         return {

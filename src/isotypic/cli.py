@@ -9,7 +9,6 @@ output because they outgrow native integer widths quickly.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -57,6 +56,8 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 
 def _emit(args, json_obj, text_lines: list[str]) -> None:
     if args.format == "json":
+        import json  # here, so that text output does not pay for the import
+
         print(json.dumps(json_obj))
     else:
         for line in text_lines:
@@ -240,6 +241,8 @@ def _cmd_example(args) -> int:
 
 
 def _load_orbit_spec(path: str) -> OrbitSpec:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)

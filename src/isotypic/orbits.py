@@ -8,40 +8,37 @@ sum of the corresponding induced modules, exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
 from .induction import Decomposition, sign_twist, young_module
 from .partitions import Partition, parse_partition
+from .records import Record
 
 
-@dataclass(frozen=True)
-class OrbitSpec:
+class OrbitSpec(Record):
     """A multiset of labeled orbits of a single symmetric group."""
 
-    k: int
-    orbits: tuple[tuple[str, Partition], ...]
+    __slots__ = ("k", "orbits")
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, k: int, orbits: Sequence[tuple[str, Sequence[int]]]):
+        if k < 0:
             raise DomainError("letter count must be nonnegative")
         seen = set()
         clean = []
-        for label, stabilizer in self.orbits:
+        for label, stabilizer in orbits:
             label = str(label)
             stabilizer = Partition(stabilizer)
-            if stabilizer.weight != self.k:
+            if stabilizer.weight != k:
                 raise DomainError(
-                    f"stabilizer {stabilizer} of orbit {label!r} does not partition {self.k}"
+                    f"stabilizer {stabilizer} of orbit {label!r} does not partition {k}"
                 )
             if label in seen:
                 raise DomainError(f"duplicate orbit label {label!r}")
             seen.add(label)
             clean.append((label, stabilizer))
-        object.__setattr__(self, "orbits", tuple(clean))
+        self._set(k, tuple(clean))
 
     def __len__(self) -> int:
         return len(self.orbits)
@@ -112,19 +109,18 @@ def verify_power_identity(k: int) -> PowerIdentityCheck:
     """Check that the squared two-row closed form sums to 2^k.
 
     k! * sum over mu1 >= mu2 >= 0, mu1 + mu2 = k of
-    (mu1 - mu2 + 1)^2 / ((mu1 + 1)! * mu2!) must equal 2^k exactly; the sum
-    is evaluated in exact rational arithmetic and must come out integral.
+    (mu1 - mu2 + 1)^2 / ((mu1 + 1)! * mu2!) must equal 2^k exactly.  Since
+    k! / ((mu1 + 1)! * mu2!) = C(k+1, mu2) / (k+1), the sum is the integer
+    sum of (k - 2*mu2 + 1)^2 * C(k+1, mu2) divided by k+1, and that division
+    must be exact.
     """
     if k < 1:
         raise DomainError("identity needs k >= 1")
-    total = Fraction(0)
-    for mu2 in range(0, k // 2 + 1):
-        mu1 = k - mu2
-        total += Fraction((mu1 - mu2 + 1) ** 2, factorial(mu1 + 1) * factorial(mu2))
-    lhs = factorial(k) * total
-    if lhs.denominator != 1:
-        raise AssertionError(f"identity sum is not integral for k={k}: {lhs}")
-    return PowerIdentityCheck(lhs == 2**k, int(lhs), 2**k)
+    total = sum((k - 2 * mu2 + 1) ** 2 * comb(k + 1, mu2) for mu2 in range(k // 2 + 1))
+    lhs, remainder = divmod(total, k + 1)
+    if remainder:
+        raise AssertionError(f"identity sum is not integral for k={k}: {total}/{k + 1}")
+    return PowerIdentityCheck(lhs == 2**k, lhs, 2**k)
 
 
 def top_cohomology(dec: Decomposition) -> Decomposition:

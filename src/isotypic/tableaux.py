@@ -9,13 +9,13 @@ values, so concurrent readers and writers observe value-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
 from .errors import DomainError
 from .partitions import Partition
+from .records import Record
 
 
 def hook_lengths(lam: Sequence[int]) -> dict[tuple[int, int], int]:
@@ -58,20 +58,17 @@ def two_row_dim(mu: Sequence[int]) -> int:
     return quotient
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(Record):
     """A pair of nested partitions; the cells of outer not in inner."""
 
-    outer: Partition
-    inner: Partition
+    __slots__ = ("outer", "inner")
 
-    def __post_init__(self):
-        outer = Partition(self.outer)
-        inner = Partition(self.inner)
+    def __init__(self, outer: Sequence[int], inner: Sequence[int]):
+        outer = Partition(outer)
+        inner = Partition(inner)
         if not outer.contains(inner):
             raise DomainError(f"inner shape {inner} does not fit inside {outer}")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
+        self._set(outer, inner)
 
     @property
     def size(self) -> int:

@@ -19,10 +19,10 @@ from isotypic import (
     restriction_check,
     restriction_threshold,
     split_module,
-    split_multiplicity,
     splits,
 )
 from isotypic.bounds import _member_of_admissible_tuple
+from kostka_lr import kostka_lr_split_multiplicity
 
 # cardinalities of I(k, 1, 1) for k = 1..12, frozen from exhaustive enumeration
 ISET_CARDS_D1_M1 = [1, 2, 3, 5, 7, 10, 11, 14, 15, 18, 19, 22]
@@ -200,7 +200,7 @@ def test_membership_agrees_with_kostka_lr_search(case):
     mu, d, m = case
     t = restriction_threshold(d, m)
     reached = any(
-        split_multiplicity(mu, triv, sign) > 0
+        kostka_lr_split_multiplicity(mu, triv, sign) > 0
         for lam in enumerate_partitions(mu.weight, t)
         for triv, sign in splits(lam)
     )

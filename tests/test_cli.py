@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -191,3 +193,50 @@ def test_bounds_at_large_weight(capsys):
 def test_cap_flag_reaches_bounds(capsys):
     code, out, _ = run_cli(capsys, "--cap", "1000000", "bound", "equivariant", "--k", "8", "--d", "1")
     assert code == 0
+
+
+# Start-up: a fresh ``import isotypic`` stays off these stdlib modules, and
+# the CLI imports json only to write JSON or to read orbit spec files.
+HEAVY_STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "json")
+
+
+def run_python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, check=False)
+
+
+def imported_modules(importtime_stderr):
+    # each ``-X importtime`` line ends in "| <module name>"
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in importtime_stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_import_loads_no_heavy_stdlib_module():
+    probe = f"import sys, isotypic; print(*(m for m in {HEAVY_STDLIB!r} if m in sys.modules))"
+    result = run_python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
+
+
+def test_text_command_does_not_import_json():
+    result = run_python("-X", "importtime", "-m", "isotypic", "--format", "text", "dim", "[4,2,1]")
+    assert result.returncode == 0 and result.stdout == "35\n"
+    imported = imported_modules(result.stderr)
+    assert "isotypic.cli" in imported
+    assert not imported & set(HEAVY_STDLIB)
+
+
+def test_json_output_and_spec_files_in_a_fresh_process(tmp_path):
+    result = run_python("-X", "importtime", "-m", "isotypic", "--format", "json", "dim", "[4,2,1]")
+    assert result.returncode == 0 and result.stdout == '{"value": "35"}\n'
+    assert "json" in imported_modules(result.stderr)
+    spec = example_variety(5)
+    p1 = tmp_path / "a.json"
+    p2 = tmp_path / "b.json"
+    p1.write_text(json.dumps(OrbitSpec(5, spec.orbits[:3]).to_json_dict()))
+    p2.write_text(json.dumps(OrbitSpec(5, spec.orbits[2:]).to_json_dict()))
+    for fmt, expected in (("text", "mv-inequality holds\n"), ("json", '{"holds": true}\n')):
+        result = run_python("-m", "isotypic", "--format", fmt, "mv-check", str(p1), str(p2))
+        assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")

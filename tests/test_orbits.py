@@ -1,5 +1,7 @@
 import json
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -96,6 +98,22 @@ def test_power_identity():
     for k in range(1, 21):
         check = verify_power_identity(k)
         assert check.holds and check.lhs == 2**k
+
+
+def test_power_identity_matches_rational_sum():
+    # the sum as the docstring states it, in exact rationals
+    for k in range(1, 81):
+        total = sum(
+            Fraction((k - 2 * mu2 + 1) ** 2, factorial(k - mu2 + 1) * factorial(mu2))
+            for mu2 in range(k // 2 + 1)
+        )
+        lhs = factorial(k) * total
+        assert lhs.denominator == 1
+        expected = (lhs == 2**k, int(lhs), 2**k)
+        check = verify_power_identity(k)
+        assert tuple(check) == expected and type(check.lhs) is int
+    with pytest.raises(DomainError):
+        verify_power_identity(0)
 
 
 def test_top_cohomology_examples():
