@@ -9,9 +9,23 @@ honest).
 Every summand of a bound is a product of per-block factors, so the sum over
 tuples of partitions is evaluated as the product over blocks of per-block
 sums over ``Par(k, min(t, k))``; no tuple is enumerated.  A block's factor
-needs only the target's best split multiplicity, counted backwards from the
-target.  In the equivariant and projection sums every split factor is 1, and
-a block sum is a closed form in the counts of partitions by length.
+for ``lambda`` is the target's best split multiplicity: the largest, over
+the splits of ``lambda`` into trivial and sign parts, of the number of ways
+to peel the target down to the empty shape by one horizontal strip per
+trivial part and one vertical strip per sign part (``tableaux._peel``).
+
+A block sum is one depth-first walk over the sequences of (part, side)
+steps.  Parts never increase along a sequence, and at equal parts the
+horizontal side comes first, so each split of each ``lambda`` is one
+sequence.  A prefix's layer of peeled shapes is built once and shared by
+every sequence that extends it; a shape that no remaining number of strips
+can empty (it lies outside the hook union of the room left, the closed form
+of ``admissible``) is dropped, and a prefix whose layer is empty is not
+extended.  The last strip is counted in closed form: what remains must be a
+single row or a single column.  The walk keeps its pending prefixes on an
+explicit stack, so its depth, at most ``min(t, k)`` parts, uses no
+recursion.  In the equivariant and projection sums every split factor is 1,
+and a block sum is a closed form in the counts of partitions by length.
 
 Evaluation refuses to start when the paper's sum has more lambda-terms than
 the cap; the terms are counted, not enumerated.  The ``workers`` keyword is
@@ -25,16 +39,15 @@ from typing import Sequence
 
 from .admissible import _in_hook_union, fits_in_corner, restriction_threshold
 from .errors import DomainError, EnumerationCapExceeded
-from .induction import _peel_multiplicity
 from .partitions import (
     Partition,
     PartitionTuple,
     count_exact_length,
     count_partitions,
-    enumerate_partitions,
     splits,
 )
 from .records import Record
+from .tableaux import _last_strip, _peel, _peel_step, _split_steps
 
 DEFAULT_TERM_CAP = 10_000_000
 
@@ -133,8 +146,38 @@ def _check_term_cap(weights, thresholds, cap: int) -> None:
         )
 
 
-def _best_split(mu: Partition, lam: Partition, memo: dict) -> int:
-    return max(_peel_multiplicity(mu, a, b, memo) for a, b in splits(lam))
+def _block_sum(mu: Partition, t: int, base: int) -> int:
+    # Sum of base**len(lam) times the best split multiplicity of mu, over
+    # lam in Par(k, t) for k = |mu|, by the walk of the module docstring.
+    # A stack entry is a prefix still to be peeled: the parent's layer, the
+    # parts so far, the weight left and the step that extends the parent.
+    best: dict[tuple[int, ...], int] = {}
+    stack: list = [({mu: 1}, (), mu.weight, None)]
+    while stack:
+        table, parts, left, step = stack.pop()
+        room = t - len(parts)
+        if step is not None:
+            table = _peel_step(table, *step)
+            # the least shape outside the hook union of room is the
+            # staircase (room+1, room, ..., 1); a lighter layer needs no test
+            if 2 * left >= (room + 1) * (room + 2):
+                table = {rho: n for rho, n in table.items() if _in_hook_union(rho, room)}
+            if not table:
+                continue
+        for size in range(min(left, parts[-1] if parts else left), 0, -1):
+            if left - size > size * (room - 1):
+                break  # parts only get smaller; the rest cannot fit in the room
+            for vertical in (False, True):
+                if not vertical and step == (size, True):
+                    continue  # at equal parts the horizontal side comes first
+                if size < left:
+                    stack.append((table, parts + (size,), left - size, (size, vertical)))
+                    continue
+                paths = _last_strip(table, size, vertical)
+                lam = parts + (size,)
+                if paths > best.get(lam, 0):
+                    best[lam] = paths
+    return sum(base ** len(lam) * mult for lam, mult in best.items())
 
 
 def g_factor(
@@ -154,10 +197,9 @@ def g_factor(
         raise DomainError(
             f"component weights differ: {mu_tuple.weights} vs {lam_tuple.weights}"
         )
-    memo: dict = {}
     total = 1
     for mu, lam, m in zip(mu_tuple, lam_tuple, widths):
-        mult = _best_split(mu, lam, memo)
+        mult = max(_peel(mu, _split_steps(a, b)) for a, b in splits(lam))
         if mult == 0:
             return 0
         total *= (2 * d) ** (m * len(lam)) * mult
@@ -167,14 +209,9 @@ def g_factor(
 def _core_sum(mu_tuple: PartitionTuple, params: BoundParams, cap: int) -> int:
     thresholds = params.thresholds
     _check_term_cap(params.weights, thresholds, cap)
-    memo: dict = {}
     total = 1
     for mu, k, t, m in zip(mu_tuple, params.weights, thresholds, params.widths):
-        base = (2 * params.degree) ** m
-        block = sum(
-            base ** len(lam) * _best_split(mu, lam, memo)
-            for lam in enumerate_partitions(k, min(t, k))
-        )
+        block = _block_sum(mu, min(t, k), (2 * params.degree) ** m)
         if block == 0:
             return 0
         total *= block

@@ -10,7 +10,6 @@ of weights).  All combinators return fresh values.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -19,7 +18,8 @@ from .errors import DomainError
 from .partitions import Partition, PartitionTuple, enumerate_partitions, splits
 from .tableaux import (
     _horizontal_strips_above,
-    _kostka,
+    _peel,
+    _split_steps,
     _vertical_strips_above,
     lr_coefficient,
     specht_dim,
@@ -269,13 +269,9 @@ def split_module(triv: Sequence[int], sign: Sequence[int]) -> Decomposition:
 
 def split_multiplicity(mu: Sequence[int], triv: Sequence[int], sign: Sequence[int]) -> int:
     """Multiplicity of ``mu`` in the split module, counted backwards from
-    ``mu`` by ``_peel_multiplicity`` instead of building the module.
-
-    Tensoring with the sign character transposes every label and swaps the
-    two sides, so the multiplicity of ``mu`` for (``triv``, ``sign``) equals
-    that of ``mu``'s transpose for (``sign``, ``triv``).  The peel takes one
-    step per sign part and a Kostka number against ``triv``; the side with
-    more parts is put on the Kostka side.
+    ``mu`` by the strip peel (``tableaux._peel``) instead of building the
+    module: one horizontal strip per ``triv`` part and one vertical strip per
+    ``sign`` part, largest first.
     """
     mu = Partition(mu)
     triv = Partition(triv)
@@ -284,68 +280,7 @@ def split_multiplicity(mu: Sequence[int], triv: Sequence[int], sign: Sequence[in
         raise DomainError(
             f"weight mismatch: {mu.weight} != {triv.weight} + {sign.weight}"
         )
-    if len(sign) > len(triv):
-        mu, triv, sign = mu.transpose(), sign, triv
-    return _peel_multiplicity(mu, triv, sign, {})
-
-
-def _vertical_strips_below(mu: Partition, n: int) -> list[Partition]:
-    # A vertical strip takes at most one cell per row, and among rows of
-    # equal length only the lowest can lose theirs; so a removal picks, for
-    # each distinct part, how many of its rows lose a cell.  The loop runs
-    # over distinct parts, so tall shapes cost no recursion depth.
-    shapes: list[tuple[tuple[int, ...], int]] = [((), n)]  # (rows, cells left)
-    below = len(mu)
-    for part, count in Counter(mu).items():
-        below -= count
-        shorter = (part - 1,) if part > 1 else ()
-        shapes = [
-            (rows + (part,) * (count - lose) + shorter * lose, left - lose)
-            for rows, left in shapes
-            for lose in range(max(0, left - below), min(count, left) + 1)
-        ]
-    return [Partition._from_valid(rows) for rows, _ in shapes]
-
-
-def _peeled(mu: Partition, sign: tuple[int, ...], memo: dict) -> dict:
-    # The shapes left when vertical strips of the sizes in ``sign`` are
-    # removed from ``mu`` one after another, each with its number of removal
-    # paths.  ``memo`` also keeps the strips below each shape, keyed by
-    # (shape, strip size).
-    key = (mu, sign)
-    table = memo.get(key)
-    if table is None:
-        if not sign:
-            table = {mu: 1}
-        else:
-            table = {}
-            for nu, paths in _peeled(mu, sign[:-1], memo).items():
-                skey = (nu, sign[-1])
-                below = memo.get(skey)
-                if below is None:
-                    below = memo[skey] = _vertical_strips_below(nu, sign[-1])
-                for rho in below:
-                    table[rho] = table.get(rho, 0) + paths
-        memo[key] = table
-    return table
-
-
-def _peel_multiplicity(mu: Partition, triv: Partition, sign: Partition, memo: dict) -> int:
-    """Multiplicity of ``mu`` in the module induced from trivial factors on
-    ``triv`` and sign factors on ``sign``, counted backwards from ``mu``.
-
-    Each sign factor adds a vertical strip and the trivial factors add a
-    semistandard filling of content ``triv`` (Pieri), so the count is the sum
-    over the shapes ``nu`` that peeling the sign strips off ``mu`` leaves, of
-    the paths to ``nu`` times ``K(nu, triv)``: the mixed fillings of
-    Berele-Regev (alpha|beta) hook supertableaux.  ``memo`` is a dict that
-    one caller owns; splits with a common sign side share its tables.
-    """
-    return sum(
-        paths * _kostka(nu, triv)
-        for nu, paths in _peeled(mu, tuple(sign), memo).items()
-        if len(nu) <= len(triv)  # else nu cannot dominate triv
-    )
+    return _peel(mu, _split_steps(triv, sign))
 
 
 def sign_twist(dec: Decomposition) -> Decomposition:

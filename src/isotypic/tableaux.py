@@ -1,14 +1,16 @@
 """Hook lengths, irreducible dimensions, Kostka numbers, Littlewood-Richardson coefficients.
 
-Kostka and LR values are memoized in unbounded caches keyed by canonical
-partition tuples; the Kostka recursion, and the backward peel of
-``induction._peel_multiplicity`` over the targets and splits of a bound,
-revisit the same numbers heavily.  The caches only ever hold finished
-values, so concurrent readers and writers observe value-identical results.
+Kostka numbers and split multiplicities share one engine, the strip peel
+``_peel``: it counts the ways to remove strips from a shape down to the
+empty one, a layer of shapes per strip.  The strip enumerators it calls,
+and the forward ones the Pieri steps call, keep their results in unbounded
+caches keyed by canonical partition tuples, as do the LR coefficients;
+everything else ``_peel`` builds lives for one call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 from typing import Sequence
@@ -160,25 +162,41 @@ def vertical_strip_extensions(lam: Sequence[int], n: int) -> list[Partition]:
 
 @lru_cache(maxsize=None)
 def _horizontal_strips_below(mu: Partition, n: int) -> tuple[Partition, ...]:
-    rows = len(mu)
-    out: list[Partition] = []
+    # A horizontal strip takes at most one cell per column, so in a run of
+    # equal rows only the lowest row can lose cells, down to the next
+    # shorter part.  Below a run whose next part is q, the later runs can
+    # give up q cells in all (the differences of the parts telescope).  The
+    # loop runs over runs, so tall shapes cost no recursion depth; taking
+    # fewer cells from higher runs first lists the shapes in descending order.
+    runs = list(Counter(mu).items())
+    shapes: list[tuple[tuple[int, ...], int]] = [((), n)]  # (rows, cells left)
+    for i, (part, count) in enumerate(runs):
+        nxt = runs[i + 1][0] if i + 1 < len(runs) else 0
+        keep = (part,) * (count - 1)
+        shapes = [
+            (rows + keep + ((part - take,) if take < part else ()), left - take)
+            for rows, left in shapes
+            for take in range(max(0, left - nxt), min(part - nxt, left) + 1)
+        ]
+    return tuple(Partition._from_valid(rows) for rows, left in shapes if not left)
 
-    def rec(i: int, left: int, acc: list[int]) -> None:
-        if left == 0:
-            out.append(Partition._from_valid(tuple(acc) + tuple(mu[i:])))
-            return
-        if i == rows:
-            return
-        lo = max(mu.part(i + 1), mu[i] - left)
-        for v in range(mu[i], lo - 1, -1):
-            if v:
-                acc.append(v)
-            rec(i + 1, left - (mu[i] - v), acc)
-            if v:
-                acc.pop()
 
-    rec(0, n, [])
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _vertical_strips_below(mu: Partition, n: int) -> tuple[Partition, ...]:
+    # A vertical strip takes at most one cell per row, and among rows of
+    # equal length only the lowest can lose theirs; so a removal picks, for
+    # each run of equal rows, how many of its rows lose a cell.
+    shapes: list[tuple[tuple[int, ...], int]] = [((), n)]  # (rows, cells left)
+    below = len(mu)
+    for part, count in Counter(mu).items():
+        below -= count
+        shorter = (part - 1,) if part > 1 else ()
+        shapes = [
+            (rows + (part,) * (count - lose) + shorter * lose, left - lose)
+            for rows, left in shapes
+            for lose in range(max(0, left - below), min(count, left) + 1)
+        ]
+    return tuple(Partition._from_valid(rows) for rows, left in shapes if not left)
 
 
 def horizontal_strip_restrictions(mu: Sequence[int], n: int) -> list[Partition]:
@@ -188,28 +206,59 @@ def horizontal_strip_restrictions(mu: Sequence[int], n: int) -> list[Partition]:
     return list(_horizontal_strips_below(Partition(mu), n))
 
 
-@lru_cache(maxsize=None)
-def _kostka(mu: Partition, lam: Partition) -> int:
-    if not lam:
+def _split_steps(triv: Sequence[int], sign: Sequence[int] = ()) -> list[tuple[int, bool]]:
+    # (size, vertical) strip steps, largest first; horizontal first at equal sizes
+    steps = [(p, False) for p in triv] + [(q, True) for q in sign]
+    steps.sort(key=lambda step: (-step[0], step[1]))
+    return steps
+
+
+def _peel_step(table: dict, size: int, vertical: bool) -> dict:
+    # one layer of the peel: every way to remove one strip from each shape
+    strips = _vertical_strips_below if vertical else _horizontal_strips_below
+    out: dict = {}
+    for nu, paths in table.items():
+        for rho in strips(nu, size):
+            out[rho] = out.get(rho, 0) + paths
+    return out
+
+
+def _last_strip(table: dict, size: int, vertical: bool) -> int:
+    # a strip that empties the shape is the whole shape: a column or a row
+    return table.get((1,) * size if vertical else (size,), 0)
+
+
+def _peel(mu: Partition, steps: Sequence[tuple[int, bool]]) -> int:
+    """Number of ways to peel ``mu`` down to the empty shape by one strip per
+    ``(size, vertical)`` step; the sizes must add up to ``mu``'s weight.
+
+    Skewing by h_r (removing a horizontal r-strip) commutes with skewing by
+    e_r (removing a vertical one), so the count does not depend on the order
+    of the steps and equals <s_mu, h_alpha e_beta>, where alpha holds the
+    horizontal sizes and beta the vertical ones.  With only horizontal steps
+    it is the Kostka number K(mu, alpha).  With both it is the multiplicity
+    of ``mu`` in the module induced from trivial factors on alpha and sign
+    factors on beta: the mixed fillings of Berele-Regev (alpha|beta) hook
+    supertableaux, read backwards.  Callers order ``steps`` largest first
+    (``_split_steps``), which keeps the layers small; the peel stops as soon
+    as a layer is empty, and the last strip is counted in closed form.
+    """
+    if not steps:
         return 1 if not mu else 0
-    # dominance on valid partitions of equal weight: past the shorter one its
-    # prefix sum is the whole weight, so comparing up to there is enough
-    sum_mu = sum_lam = 0
-    for a, b in zip(mu, lam):
-        sum_mu += a
-        sum_lam += b
-        if sum_mu < sum_lam:
+    table = {mu: 1}
+    for size, vertical in steps[:-1]:
+        table = _peel_step(table, size, vertical)
+        if not table:
             return 0
-    head = Partition._from_valid(lam[:-1])
-    # the cells holding the largest entry form a horizontal strip at the border
-    return sum(_kostka(nu, head) for nu in horizontal_strip_restrictions(mu, lam[-1]))
+    return _last_strip(table, *steps[-1])
 
 
 def kostka(mu: Sequence[int], lam: Sequence[int]) -> int:
     """Number of semistandard tableaux of shape ``mu`` and content ``lam``.
 
     Rows weakly increase, columns strictly increase, and entry ``i`` appears
-    ``lam[i-1]`` times.
+    ``lam[i-1]`` times.  The cells holding each entry form a horizontal
+    strip, so this is the strip peel with every strip horizontal.
     """
     mu = Partition(mu)
     lam = Partition(lam)
@@ -217,7 +266,7 @@ def kostka(mu: Sequence[int], lam: Sequence[int]) -> int:
         raise DomainError(
             f"shape and content must have equal weight, got {mu.weight} and {lam.weight}"
         )
-    return _kostka(mu, lam)
+    return _peel(mu, _split_steps(lam))
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,8 @@ from isotypic import (
     splits,
     split_multiplicity,
 )
+from isotypic import bounds
+from isotypic.admissible import _in_hook_union
 from isotypic.bounds import _member_of_admissible_tuple
 
 # frozen after first computation; k = 1..10 per row
@@ -302,6 +304,58 @@ def test_block_product_matches_tuple_sum(weights, widths):
             assert cplx.excluded == (
                 cplx.value == 0 and not brute_member(mu, weights, exclusion)
             )
+
+
+@pytest.mark.parametrize("k", [11, 14])
+def test_block_walk_matches_tuple_sum_at_threshold_4(k, monkeypatch):
+    # At T = 4 the walk's hook-union filter first drops shapes at k = 14; at
+    # k = 11 no layer is heavy enough to be tested.
+    verdicts = []
+
+    def in_hook_union(rho, t):
+        verdicts.append(_in_hook_union(rho, t))
+        return verdicts[-1]
+
+    monkeypatch.setattr(bounds, "_in_hook_union", in_hook_union)
+    params = BoundParams((k,), (2,), 1)
+    for mu in enumerate_partitions(k):
+        assert affine_multiplicity_bound(mu, params).value == brute_affine_sum(
+            [mu], (k,), (2,), 1
+        )
+    assert (False in verdicts) == (k == 14)
+
+
+# Seeded bound-sweep targets and a few more at the same sizes.
+BENCH_TARGETS = [
+    ((7, 5, 2, 1, 1, 1, 1), 1, 3),
+    ((9, 4, 3, 2), 1, 3),
+    ((6, 3, 1, 1, 1, 1, 1, 1, 1, 1), 1, 3),
+    ((5, 4, 3, 2, 1, 1, 1), 1, 3),
+    ((4, 3, 2, 2, 2, 1), 2, 2),
+    ((3, 3, 2, 2, 2, 1, 1), 2, 2),
+    ((6, 4, 3, 1, 1), 2, 2),
+    ((5, 4, 3, 2, 1), 2, 2),
+]
+
+
+@pytest.mark.parametrize("mu,d,m", BENCH_TARGETS)
+def test_block_walk_matches_sum_of_g_factors(mu, d, m):
+    # g_factor peels each split of each lambda on its own
+    k = sum(mu)
+    expected = sum(
+        g_factor([mu], [lam], d, (m,)) for lam in enumerate_partitions(k, (2 * d) ** m)
+    )
+    assert expected > 0
+    assert affine_multiplicity_bound(mu, BoundParams((k,), (m,), d)).value == expected
+
+
+def test_term_cap_refuses_before_the_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("the block walk started")
+
+    monkeypatch.setattr(bounds, "_block_sum", walk)
+    with pytest.raises(EnumerationCapExceeded):
+        affine_multiplicity_bound((36, 2, 1, 1), BoundParams((40,), (3,), 1), cap=9_748)
 
 
 @pytest.mark.parametrize(

@@ -190,6 +190,23 @@ def test_bounds_at_large_weight(capsys):
     assert out.strip() == str(1 * 2 + 600 * 4)  # the trivial target's split factors are 1
 
 
+def test_kostka_at_1100_rows_and_1100_content_parts(capsys):
+    # the strip peel loops over strips and over runs of equal rows, so
+    # neither a tall shape nor a long content adds recursion depth
+    ones = "[" + ",".join(["1"] * 1100) + "]"
+    for shape in ("[1100]", ones):
+        code, out, err = run_cli(capsys, "kostka", shape, ones)
+        assert code == 0 and out.strip() == "1" and err == ""
+
+
+def test_affine_bound_at_k_40_threshold_8(capsys):
+    # 9,749 lambdas of Par(40, 8), where the walk drops shapes outside the
+    # hook union of the room left; CI runs the same command under a timeout
+    argv = ("bound", "affine", "--k", "40", "--d", "1", "--m", "3", "--mu", "[36,2,1,1]")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out.strip() == "10932226795520" and err == ""
+
+
 def test_cap_flag_reaches_bounds(capsys):
     code, out, _ = run_cli(capsys, "--cap", "1000000", "bound", "equivariant", "--k", "8", "--d", "1")
     assert code == 0

@@ -24,7 +24,7 @@ from isotypic import (
     tuple_outer,
     young_module,
 )
-from isotypic.induction import _peel_multiplicity
+from isotypic.tableaux import _peel, _split_steps
 from kostka_lr import kostka_lr_split_multiplicity
 
 
@@ -289,7 +289,7 @@ def split_case(draw, max_weight=10):
 @given(split_case())
 def test_peel_agrees_with_forward_pieri_and_kostka_lr(case):
     mu, triv, sign = case
-    peeled = _peel_multiplicity(mu, triv, sign, {})
+    peeled = _peel(mu, _split_steps(triv, sign))
     assert peeled == split_module(triv, sign)[mu] == split_multiplicity(mu, triv, sign)
 
 
@@ -315,9 +315,9 @@ def test_split_multiplicity_conjugation_swaps_sides(case):
     mu, triv, sign = case
     value = split_multiplicity(mu, triv, sign)
     assert value == split_multiplicity(mu.transpose(), sign, triv)
-    # split_multiplicity picks one side to peel; both sides must agree
-    assert value == _peel_multiplicity(mu, triv, sign, {})
-    assert value == _peel_multiplicity(mu.transpose(), sign, triv, {})
+    # the peel of mu and the peel of its transpose, sides swapped, must agree
+    assert value == _peel(mu, _split_steps(triv, sign))
+    assert value == _peel(mu.transpose(), _split_steps(sign, triv))
 
 
 def test_young_module_multiplicities_are_kostka_numbers():

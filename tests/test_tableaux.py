@@ -20,6 +20,7 @@ from isotypic import (
     two_row_dim,
     vertical_strip_extensions,
 )
+from isotypic.tableaux import _horizontal_strips_below, _vertical_strips_below
 
 
 def test_hook_lengths_small():
@@ -179,6 +180,36 @@ def test_strip_enumerations_are_complete():
                     shape = SkewShape(mu, lam)
                     assert (mu in horiz) == shape.is_horizontal_strip()
                     assert (mu in vert) == shape.is_vertical_strip()
+
+
+def test_strip_removals_are_complete_and_descending():
+    # the removal loops over runs of equal rows list exactly the shapes below
+    # by a strip, in the canonical descending order
+    for k in range(0, 9):
+        for mu in enumerate_partitions(k):
+            for n in range(0, k + 2):
+                below = [
+                    lam for lam in enumerate_partitions(k - n) if mu.contains(lam)
+                ] if n <= k else []
+                assert list(_horizontal_strips_below(mu, n)) == [
+                    lam for lam in below if SkewShape(mu, lam).is_horizontal_strip()
+                ]
+                assert list(_vertical_strips_below(mu, n)) == [
+                    lam for lam in below if SkewShape(mu, lam).is_vertical_strip()
+                ]
+
+
+def test_kostka_peel_at_large_sizes():
+    # closed forms: a hook (n-j, 1^j) holds C(n-1, j) standard fillings;
+    # Kostka numbers vanish off dominance
+    for n in (30, 200):
+        ones = (1,) * n
+        for j in (0, 1, 2, n - 1):
+            hook = Partition((n - j,) + (1,) * j)
+            assert kostka(hook, ones) == comb(n - 1, j)
+        assert kostka((n - 1, 1), (n - 1, 1)) == 1
+        assert kostka((n - 2, 2), (n - 1, 1)) == 0
+        assert kostka(ones, (n,)) == 0
 
 
 def test_skew_shape_validation():
