@@ -32,7 +32,6 @@ that the exact set rules out).
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError
@@ -68,14 +67,9 @@ def _in_hook_union(mu: Partition, t: int) -> bool:
     return any(mu.part(a) <= t - a for a in range(t + 1))
 
 
-@lru_cache(maxsize=None)
-def _admissible_for_partition(lam: Partition) -> frozenset[Partition]:
-    return frozenset(max_split_multiplicities(lam))
-
-
 def admissible_for_partition(lam: Sequence[int]) -> frozenset[Partition]:
     """Irreducibles reachable from some split of a single partition."""
-    return _admissible_for_partition(Partition(lam))
+    return frozenset(max_split_multiplicities(lam))
 
 
 def admissible_for(lam_tuple: Sequence[Sequence[int]]) -> frozenset[PartitionTuple]:

@@ -43,6 +43,7 @@ from .partitions import (
     Partition,
     PartitionTuple,
     count_exact_length,
+    count_partition_tuples,
     count_partitions,
     splits,
 )
@@ -137,9 +138,7 @@ def _coerce_target(mu, params: BoundParams) -> PartitionTuple:
 
 
 def _check_term_cap(weights, thresholds, cap: int) -> None:
-    total = 1
-    for k, t in zip(weights, thresholds):
-        total *= count_partitions(k, min(t, k))
+    total = count_partition_tuples(weights, thresholds)
     if total > cap:
         raise EnumerationCapExceeded(
             f"bound sum has {total} terms, above the cap of {cap}"

@@ -202,28 +202,23 @@ def young_module(lam: Sequence[int]) -> Decomposition:
 
 def pieri_row(dec: Decomposition, n: int) -> Decomposition:
     """Induce with a trivial factor on ``n`` extra letters: add horizontal strips."""
-    _require_single_factor(dec, "pieri_row")
-    if n < 0:
-        raise DomainError("strip size must be nonnegative")
-    if n == 0:
-        return dec
-    terms: dict = {}
-    for lam, mult in dec._terms.items():
-        for mu in _horizontal_strips_above(lam, n):
-            terms[mu] = terms.get(mu, 0) + mult
-    return Decomposition._from_valid(terms, dec.ambient + n)
+    return _pieri(dec, n, "pieri_row", _horizontal_strips_above)
 
 
 def pieri_col(dec: Decomposition, n: int) -> Decomposition:
     """Induce with a sign factor on ``n`` extra letters: add vertical strips."""
-    _require_single_factor(dec, "pieri_col")
+    return _pieri(dec, n, "pieri_col", _vertical_strips_above)
+
+
+def _pieri(dec: Decomposition, n: int, op: str, strips) -> Decomposition:
+    _require_single_factor(dec, op)
     if n < 0:
         raise DomainError("strip size must be nonnegative")
     if n == 0:
         return dec
     terms: dict = {}
     for lam, mult in dec._terms.items():
-        for mu in _vertical_strips_above(lam, n):
+        for mu in strips(lam, n):
             terms[mu] = terms.get(mu, 0) + mult
     return Decomposition._from_valid(terms, dec.ambient + n)
 

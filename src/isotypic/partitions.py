@@ -72,11 +72,13 @@ class Partition(tuple):
 
 @lru_cache(maxsize=None)
 def _transpose(lam: "Partition") -> "Partition":
-    if not lam:
-        return lam
-    return Partition._from_valid(
-        tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
-    )
+    # the lam[i] - lam[i+1] columns that end in row i hold i + 1 cells each
+    columns: list[int] = []
+    below = 0
+    for i in range(len(lam) - 1, -1, -1):
+        columns += [i + 1] * (lam[i] - below)
+        below = lam[i]
+    return Partition._from_valid(tuple(columns))
 
 
 class PartitionTuple(tuple):
@@ -107,8 +109,7 @@ class PartitionTuple(tuple):
         return f"PartitionTuple({tuple(tuple(c) for c in self)!r})"
 
 
-@lru_cache(maxsize=None)
-def _partitions(k: int, max_length: int) -> tuple[Partition, ...]:
+def _partitions(k: int, max_length: int) -> list[Partition]:
     out: list[Partition] = []
 
     def rec(remaining: int, max_part: int, rows_left: int, prefix: list[int]) -> None:
@@ -125,7 +126,7 @@ def _partitions(k: int, max_length: int) -> tuple[Partition, ...]:
             prefix.pop()
 
     rec(k, k, max_length, [])
-    return tuple(out)
+    return out
 
 
 def enumerate_partitions(k: int, max_length: int | None = None) -> list[Partition]:
@@ -139,7 +140,7 @@ def enumerate_partitions(k: int, max_length: int | None = None) -> list[Partitio
     if max_length is not None and max_length < 1:
         raise DomainError("max_length must be a positive integer")
     cap = k if max_length is None else min(max_length, k)
-    return list(_partitions(k, cap))
+    return _partitions(k, cap)
 
 
 @lru_cache(maxsize=1024)

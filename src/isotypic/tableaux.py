@@ -2,10 +2,14 @@
 
 Kostka numbers and split multiplicities share one engine, the strip peel
 ``_peel``: it counts the ways to remove strips from a shape down to the
-empty one, a layer of shapes per strip.  The strip enumerators it calls,
-and the forward ones the Pieri steps call, keep their results in unbounded
-caches keyed by canonical partition tuples, as do the LR coefficients;
-everything else ``_peel`` builds lives for one call.
+empty one, a layer of shapes per strip.  Strips are enumerated by two
+loops over runs of equal rows, one adding a horizontal strip and one
+removing it; a vertical strip is the conjugate of a horizontal one, so the
+vertical enumerators transpose, run the horizontal loop and transpose back.
+No enumerator recurses, so tall and wide shapes cost no recursion depth.
+The four enumerators and the LR coefficients keep their results in
+unbounded caches keyed by canonical partition tuples; everything else
+``_peel`` builds lives for one call.
 """
 
 from __future__ import annotations
@@ -98,25 +102,31 @@ class SkewShape(Record):
 
 @lru_cache(maxsize=None)
 def _horizontal_strips_above(lam: Partition, n: int) -> tuple[Partition, ...]:
-    rows = len(lam) + 1
+    # A horizontal strip adds at most one cell per column, so in a run of
+    # equal rows only the top row can grow, up to the part above the run
+    # (the first run without bound), and a new bottom row takes at most the
+    # last part.  Below a run of part p the later rows can take p cells in
+    # all (the rooms telescope), so every state kept ends in a shape.  Depth
+    # first over runs, larger growth first, lists the shapes in descending
+    # order; a shape is done once its cells run out, and the rows below are
+    # then copied from lam, so no state carries them.
+    runs = list(Counter(lam).items())
     out: list[Partition] = []
-
-    def rec(i: int, left: int, acc: list[int]) -> None:
-        if left == 0:
-            out.append(Partition._from_valid(tuple(acc) + tuple(lam[i:])))
-            return
-        if i == rows:
-            return
-        base = lam.part(i)
-        hi = base + left
-        if i > 0:
-            hi = min(hi, lam[i - 1])  # a second cell in a column would break the strip
-        for v in range(hi, base - 1, -1):
-            acc.append(v)
-            rec(i + 1, left - (v - base), acc)
-            acc.pop()
-
-    rec(0, n, [])
+    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), n)]  # (run, rows, cells left)
+    while stack:
+        r, rows, left = stack.pop()
+        if not left:
+            out.append(Partition._from_valid(rows + lam[len(rows):]))
+        elif r < len(runs):
+            part, count = runs[r]
+            room = runs[r - 1][0] - part if r else left
+            rest = (part,) * (count - 1)
+            stack.extend(
+                (r + 1, rows + (part + grow,) + rest, left - grow)
+                for grow in range(max(0, left - part), min(room, left) + 1)
+            )
+        else:
+            out.append(Partition._from_valid(rows + (left,)))
     return tuple(out)
 
 
@@ -125,39 +135,6 @@ def horizontal_strip_extensions(lam: Sequence[int], n: int) -> list[Partition]:
     if n < 0:
         raise DomainError("strip size must be nonnegative")
     return list(_horizontal_strips_above(Partition(lam), n))
-
-
-@lru_cache(maxsize=None)
-def _vertical_strips_above(lam: Partition, n: int) -> tuple[Partition, ...]:
-    rows = len(lam) + n
-    out: list[Partition] = []
-
-    def rec(i: int, left: int, prev: int, acc: list[int]) -> None:
-        if left == 0:
-            out.append(Partition._from_valid(tuple(acc) + tuple(lam[i:])))
-            return
-        if left > rows - i:  # each remaining row takes at most one cell
-            return
-        base = lam.part(i)
-        for add in (1, 0):
-            if add > left:
-                continue
-            v = base + add
-            if v > prev or v == 0:
-                continue
-            acc.append(v)
-            rec(i + 1, left - add, v, acc)
-            acc.pop()
-
-    rec(0, n, n + (lam[0] if lam else 0), [])
-    return tuple(out)
-
-
-def vertical_strip_extensions(lam: Sequence[int], n: int) -> list[Partition]:
-    """All partitions obtained from ``lam`` by adding a vertical strip of ``n`` cells."""
-    if n < 0:
-        raise DomainError("strip size must be nonnegative")
-    return list(_vertical_strips_above(Partition(lam), n))
 
 
 @lru_cache(maxsize=None)
@@ -181,22 +158,30 @@ def _horizontal_strips_below(mu: Partition, n: int) -> tuple[Partition, ...]:
     return tuple(Partition._from_valid(rows) for rows, left in shapes if not left)
 
 
+# A vertical strip is the conjugate of a horizontal one (tensoring with the
+# sign swaps h_r and e_r).  The vertical enumerators transpose their input,
+# call the uncached horizontal loop (``__wrapped__``), so the conjugate-space
+# lists take no cache entries, and sort the transposed outputs back into
+# descending order, which conjugation does not keep.
+def _conjugates(shapes: tuple[Partition, ...]) -> tuple[Partition, ...]:
+    return tuple(sorted(map(Partition.transpose, shapes), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _vertical_strips_above(lam: Partition, n: int) -> tuple[Partition, ...]:
+    return _conjugates(_horizontal_strips_above.__wrapped__(lam.transpose(), n))
+
+
 @lru_cache(maxsize=None)
 def _vertical_strips_below(mu: Partition, n: int) -> tuple[Partition, ...]:
-    # A vertical strip takes at most one cell per row, and among rows of
-    # equal length only the lowest can lose theirs; so a removal picks, for
-    # each run of equal rows, how many of its rows lose a cell.
-    shapes: list[tuple[tuple[int, ...], int]] = [((), n)]  # (rows, cells left)
-    below = len(mu)
-    for part, count in Counter(mu).items():
-        below -= count
-        shorter = (part - 1,) if part > 1 else ()
-        shapes = [
-            (rows + (part,) * (count - lose) + shorter * lose, left - lose)
-            for rows, left in shapes
-            for lose in range(max(0, left - below), min(count, left) + 1)
-        ]
-    return tuple(Partition._from_valid(rows) for rows, left in shapes if not left)
+    return _conjugates(_horizontal_strips_below.__wrapped__(mu.transpose(), n))
+
+
+def vertical_strip_extensions(lam: Sequence[int], n: int) -> list[Partition]:
+    """All partitions obtained from ``lam`` by adding a vertical strip of ``n`` cells."""
+    if n < 0:
+        raise DomainError("strip size must be nonnegative")
+    return list(_vertical_strips_above(Partition(lam), n))
 
 
 def horizontal_strip_restrictions(mu: Sequence[int], n: int) -> list[Partition]:

@@ -199,6 +199,26 @@ def test_kostka_at_1100_rows_and_1100_content_parts(capsys):
         assert code == 0 and out.strip() == "1" and err == ""
 
 
+def test_split_module_with_a_long_side(capsys):
+    # a vertical strip of 1200 cells is the conjugate of a row of 1200, and
+    # the horizontal enumerator loops over runs, so no step recurses per row
+    def key(*parts):
+        return "[" + ",".join(map(str, parts)) + "]"
+
+    cases = [
+        ("[]", "[1200]", 1200, [key(*[1] * 1200)]),
+        ("[1]", "[1200]", 1201, [key(2, *[1] * 1199), key(*[1] * 1201)]),
+        ("[1200]", "[1]", 1201, [key(1201), key(1200, 1)]),
+    ]
+    for triv, sign, ambient, shapes in cases:
+        code, out, err = run_cli(capsys, "split-module", triv, sign)
+        assert code == 0 and err == ""
+        assert out.strip() == " + ".join(f"1*{mu}" for mu in shapes)
+        code, out, err = run_cli(capsys, "--format", "json", "split-module", triv, sign)
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"ambient": ambient, "terms": {mu: "1" for mu in shapes}}
+
+
 def test_affine_bound_at_k_40_threshold_8(capsys):
     # 9,749 lambdas of Par(40, 8), where the walk drops shapes outside the
     # hook union of the room left; CI runs the same command under a timeout

@@ -172,14 +172,31 @@ def test_strip_enumerations_are_complete():
     for k in range(0, 6):
         for lam in enumerate_partitions(k):
             for n in range(0, 4):
-                horiz = set(horizontal_strip_extensions(lam, n))
-                vert = set(vertical_strip_extensions(lam, n))
+                horiz = horizontal_strip_extensions(lam, n)
+                vert = vertical_strip_extensions(lam, n)
+                assert horiz == sorted(set(horiz), reverse=True)
+                assert vert == sorted(set(vert), reverse=True)
                 for mu in enumerate_partitions(k + n):
                     if not mu.contains(lam):
                         continue
                     shape = SkewShape(mu, lam)
                     assert (mu in horiz) == shape.is_horizontal_strip()
                     assert (mu in vert) == shape.is_vertical_strip()
+
+
+def test_strips_of_tall_and_wide_shapes():
+    # the enumerators loop over runs of equal rows, and the vertical ones
+    # transpose, so neither a tall nor a wide shape adds recursion depth
+    tall, wide = (1,) * 1500, (1500,)
+    assert horizontal_strip_extensions(tall, 2) == [(3,) + (1,) * 1499, (2,) + (1,) * 1500]
+    assert vertical_strip_extensions(wide, 2) == [(1501, 1), (1500, 1, 1)]
+    assert vertical_strip_extensions((), 1500) == [tall]
+    assert horizontal_strip_restrictions(tall, 1) == [(1,) * 1499]
+    assert horizontal_strip_restrictions(tall, 2) == []
+    assert horizontal_strip_restrictions(wide, 2) == [(1498,)]
+    assert _vertical_strips_below(Partition(tall), 2) == ((1,) * 1498,)
+    assert _vertical_strips_below(Partition(wide), 1) == ((1499,),)
+    assert _vertical_strips_below(Partition(wide), 2) == ()
 
 
 def test_strip_removals_are_complete_and_descending():
