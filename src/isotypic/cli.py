@@ -64,61 +64,31 @@ def _emit(args, json_obj, text_lines: list[str]) -> None:
             print(line)
 
 
-def _scalar(args, value: int) -> None:
-    _emit(args, {"value": str(value)}, [str(value)])
-
-
-def _decomposition(args, dec) -> None:
-    _emit(args, dec.to_json_dict(), [str(dec)])
-
-
 def _cmd_partitions(args) -> int:
     parts = enumerate_partitions(args.k, args.max_len)
     _emit(args, [str(p) for p in parts], [str(p) for p in parts])
     return EXIT_OK
 
 
-def _cmd_dim(args) -> int:
-    _scalar(args, specht_dim(parse_partition(args.partition)))
-    return EXIT_OK
+# The partition queries: subcommand, help, argument names and the library
+# function that takes the parsed partitions in that order.  An int answer
+# prints as a scalar, a Decomposition as its terms.
+_QUERIES = (
+    ("dim", "irreducible dimension by the hook formula", ("partition",), specht_dim),
+    ("kostka", "Kostka number K(mu, lambda)", ("mu", "lam"), kostka),
+    ("lr", "Littlewood-Richardson coefficient c^nu_{lambda,mu}", ("nu", "lam", "mu"),
+     lr_coefficient),
+    ("young", "decomposition of the Young module", ("partition",), young_module),
+    ("split-mult", "multiplicity of mu in the split module", ("mu", "triv", "sign"),
+     split_multiplicity),
+    ("split-module", "decomposition of the split module", ("triv", "sign"), split_module),
+)
 
 
-def _cmd_kostka(args) -> int:
-    _scalar(args, kostka(parse_partition(args.mu), parse_partition(args.lam)))
-    return EXIT_OK
-
-
-def _cmd_lr(args) -> int:
-    _scalar(
-        args,
-        lr_coefficient(
-            parse_partition(args.nu), parse_partition(args.lam), parse_partition(args.mu)
-        ),
-    )
-    return EXIT_OK
-
-
-def _cmd_young(args) -> int:
-    _decomposition(args, young_module(parse_partition(args.partition)))
-    return EXIT_OK
-
-
-def _cmd_split_mult(args) -> int:
-    _scalar(
-        args,
-        split_multiplicity(
-            parse_partition(args.mu),
-            parse_partition(args.triv),
-            parse_partition(args.sign),
-        ),
-    )
-    return EXIT_OK
-
-
-def _cmd_split_module(args) -> int:
-    _decomposition(
-        args, split_module(parse_partition(args.triv), parse_partition(args.sign))
-    )
+def _cmd_query(args) -> int:
+    value = args.query(*[parse_partition(getattr(args, name)) for name in args.query_args])
+    json_obj = {"value": str(value)} if isinstance(value, int) else value.to_json_dict()
+    _emit(args, json_obj, [str(value)])
     return EXIT_OK
 
 
@@ -180,11 +150,11 @@ def _require(args, option: str, condition: bool) -> None:
 def _cmd_bound(args) -> int:
     rule = args.rule
     kw = {"cap": args.cap, "workers": args.workers}
+    _require(args, "--k", args.k is not None)
+    _require(args, "--d", args.d is not None)
+    widths = args.m if args.m is not None else (1,) * len(args.k)
     if rule in ("affine", "sa", "complex"):
-        _require(args, "--k", args.k is not None)
-        _require(args, "--d", args.d is not None)
         _require(args, "--mu", args.mu is not None)
-        widths = args.m if args.m is not None else (1,) * len(args.k)
         mu = parse_partition_tuple(args.mu)
         if rule == "affine":
             params = bounds.BoundParams(args.k, widths, args.d)
@@ -197,23 +167,15 @@ def _cmd_bound(args) -> int:
             params = bounds.BoundParams(args.k, widths, args.d)
             report = bounds.complex_multiplicity_bound(mu, params, **kw)
     elif rule == "projective":
-        _require(args, "--k", args.k is not None)
-        _require(args, "--d", args.d is not None)
-        _require(args, "a single --k value", args.k is None or len(args.k) == 1)
+        _require(args, "a single --k value", len(args.k) == 1)
         mu = parse_partition(args.mu) if args.mu is not None else None
         report = bounds.projective_multiplicity_bound(
             args.k[0], args.d, mu, args.letters, **kw
         )
     elif rule == "equivariant":
-        _require(args, "--k", args.k is not None)
-        _require(args, "--d", args.d is not None)
-        widths = args.m if args.m is not None else (1,) * len(args.k)
         report = bounds.equivariant_bound(args.k, widths, args.d, **kw)
     else:  # projection
-        _require(args, "--k", args.k is not None)
-        _require(args, "--d", args.d is not None)
-        _require(args, "a single --k value", args.k is None or len(args.k) == 1)
-        widths = args.m if args.m is not None else (1,)
+        _require(args, "a single --k value", len(args.k) == 1)
         _require(args, "a single --m value", len(widths) == 1)
         report = bounds.projection_image_bound(args.k[0], widths[0], args.d, **kw)
     suffix = " (excluded)" if report.excluded else ""
@@ -300,35 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=None)
     p.set_defaults(handler=_cmd_partitions)
 
-    p = sub.add_parser("dim", help="irreducible dimension by the hook formula")
-    p.add_argument("partition")
-    p.set_defaults(handler=_cmd_dim)
-
-    p = sub.add_parser("kostka", help="Kostka number K(mu, lambda)")
-    p.add_argument("mu")
-    p.add_argument("lam")
-    p.set_defaults(handler=_cmd_kostka)
-
-    p = sub.add_parser("lr", help="Littlewood-Richardson coefficient c^nu_{lambda,mu}")
-    p.add_argument("nu")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.set_defaults(handler=_cmd_lr)
-
-    p = sub.add_parser("young", help="decomposition of the Young module")
-    p.add_argument("partition")
-    p.set_defaults(handler=_cmd_young)
-
-    p = sub.add_parser("split-mult", help="multiplicity of mu in the split module")
-    p.add_argument("mu")
-    p.add_argument("triv")
-    p.add_argument("sign")
-    p.set_defaults(handler=_cmd_split_mult)
-
-    p = sub.add_parser("split-module", help="decomposition of the split module")
-    p.add_argument("triv")
-    p.add_argument("sign")
-    p.set_defaults(handler=_cmd_split_module)
+    for name, help_text, query_args, query in _QUERIES:
+        p = sub.add_parser(name, help=help_text)
+        for arg in query_args:
+            p.add_argument(arg)
+        p.set_defaults(handler=_cmd_query, query=query, query_args=query_args)
 
     p = sub.add_parser("iset", help="admissible set I(k, d, m)")
     p.add_argument("k", type=int)

@@ -260,6 +260,8 @@ def _lr(nu: Partition, lam: Partition, mu: Partition) -> int:
     # bottom, right to left) with content mu.  Filling in this order makes
     # the lattice-word property a running prefix condition on value counts;
     # row/column admissibility only ever looks at already placed neighbours.
+    # The fill is a loop over an explicit stack, so a long skew shape needs
+    # no recursion depth.
     cells = [
         (i, j)
         for i in range(len(nu))
@@ -269,32 +271,40 @@ def _lr(nu: Partition, lam: Partition, mu: Partition) -> int:
     remaining = list(mu)
     counts = [0] * values
     grid: dict[tuple[int, int], int] = {}
-
-    def rec(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        i, j = cells[idx]
-        total = 0
-        for v in range(1, values + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if v > 1 and counts[v - 1] + 1 > counts[v - 2]:
-                continue  # lattice word: entry v may not outrun entry v-1
-            right = grid.get((i, j + 1))
-            if right is not None and right < v:
-                continue
-            if i > 0 and j >= lam.part(i - 1) and grid[(i - 1, j)] >= v:
-                continue
+    placed: list[int] = []  # the value at each filled cell, in filling order
+    total = 0
+    v = 1  # the smallest value still to try at the next empty cell
+    while True:
+        if len(placed) == len(cells):
+            total += 1
+            v = values + 1  # a complete filling: backtrack
+        else:
+            i, j = cells[len(placed)]
+            right = grid.get((i, j + 1), values)
+            above = grid[(i - 1, j)] if i > 0 and j >= lam.part(i - 1) else 0
+            while v <= values and (
+                remaining[v - 1] == 0
+                # lattice word: entry v may not outrun entry v-1
+                or (v > 1 and counts[v - 1] + 1 > counts[v - 2])
+                or right < v
+                or above >= v
+            ):
+                v += 1
+        if v <= values:
             remaining[v - 1] -= 1
             counts[v - 1] += 1
             grid[(i, j)] = v
-            total += rec(idx + 1)
-            del grid[(i, j)]
+            placed.append(v)
+            v = 1
+        elif not placed:
+            return total
+        else:
+            # take back the last value and try the next larger one there
+            v = placed.pop()
+            del grid[cells[len(placed)]]
             counts[v - 1] -= 1
             remaining[v - 1] += 1
-        return total
-
-    return rec(0)
+            v += 1
 
 
 def lr_coefficient(nu: Sequence[int], lam: Sequence[int], mu: Sequence[int]) -> int:

@@ -3,8 +3,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from isotypic import Decomposition, OrbitSpec, example_variety
+from isotypic import Decomposition, OrbitSpec, example_variety, enumerate_partitions
 from isotypic.cli import main
 
 
@@ -219,6 +220,16 @@ def test_split_module_with_a_long_side(capsys):
         assert json.loads(out) == {"ambient": ambient, "terms": {mu: "1" for mu in shapes}}
 
 
+def test_lr_of_a_long_row_and_a_long_column(capsys):
+    # the filling is a loop over an explicit stack, so 1000 skew cells need
+    # no recursion depth
+    for part in ("[1000]", "[" + ",".join(["1"] * 1000) + "]"):
+        code, out, err = run_cli(capsys, "lr", part, "[]", part)
+        assert code == 0 and out.strip() == "1" and err == ""
+        code, out, err = run_cli(capsys, "--format", "json", "lr", part, "[]", part)
+        assert code == 0 and json.loads(out) == {"value": "1"} and err == ""
+
+
 def test_affine_bound_at_k_40_threshold_8(capsys):
     # 9,749 lambdas of Par(40, 8), where the walk drops shapes outside the
     # hook union of the room left; CI runs the same command under a timeout
@@ -230,6 +241,144 @@ def test_affine_bound_at_k_40_threshold_8(capsys):
 def test_cap_flag_reaches_bounds(capsys):
     code, out, _ = run_cli(capsys, "--cap", "1000000", "bound", "equivariant", "--k", "8", "--d", "1")
     assert code == 0
+
+
+SUBCOMMANDS = [
+    ("partitions", "enumerate partitions of k"),
+    ("dim", "irreducible dimension by the hook formula"),
+    ("kostka", "Kostka number K(mu, lambda)"),
+    ("lr", "Littlewood-Richardson coefficient c^nu_{lambda,mu}"),
+    ("young", "decomposition of the Young module"),
+    ("split-mult", "multiplicity of mu in the split module"),
+    ("split-module", "decomposition of the split module"),
+    ("iset", "admissible set I(k, d, m)"),
+    ("bound", "exact evaluation of a multiplicity bound"),
+    ("example", "H^0 of the hypercube-vertex model"),
+    ("mv-check", "Mayer-Vietoris inequality on two orbit specs"),
+]
+
+QUERY_USAGE = {
+    "dim": "partition",
+    "kostka": "mu lam",
+    "lr": "nu lam mu",
+    "young": "partition",
+    "split-mult": "mu triv sign",
+    "split-module": "triv sign",
+}
+
+
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_surface(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = help_text(capsys, "--help")
+    listed = [
+        tuple(line.split(None, 1))
+        for line in out.splitlines()
+        if line.startswith("    ") and not line[4].isspace()
+    ]
+    assert listed == SUBCOMMANDS
+    for name, arguments in QUERY_USAGE.items():
+        usage = help_text(capsys, name, "-h").splitlines()[0]
+        assert usage == f"usage: isotypic {name} [-h] {arguments}"
+
+
+PARTITION_TEXTS = [str(p) for w in range(9) for p in enumerate_partitions(w)]
+MALFORMED = ["[2,1", "abc", "[0]", "[1,2]", "[-1]", "", "[a]", "2,1", "[2;1]", "[1,0]"]
+partition_text = st.sampled_from(PARTITION_TEXTS + MALFORMED)
+
+
+def small_int(low, high):
+    return st.integers(low, high).map(str)
+
+
+def int_list(high):
+    return st.lists(st.integers(0, high), min_size=1, max_size=2).map(
+        lambda xs: ",".join(map(str, xs))
+    )
+
+
+def option(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def required(name, values):
+    return values.map(lambda v: [name, v])
+
+
+def concat(*parts):
+    return st.tuples(*parts).map(lambda lists: [x for xs in lists for x in xs])
+
+
+def single(values):
+    return values.map(lambda v: [v])
+
+
+def query(name, arity):
+    return st.lists(partition_text, min_size=arity, max_size=arity).map(lambda xs: [name, *xs])
+
+
+# Sizes stay small (partitions of weight <= 8, bound k <= 8, d <= 2, m <= 2,
+# iset k <= 30) so that each example answers in well under a second.  The
+# bound branch comes twice: once with every option optional and once with
+# the options some rule requires always set, so that more examples reach an
+# evaluator.
+BOUND_RULES = ["affine", "sa", "complex", "projective", "equivariant", "projection"]
+SUBCOMMAND_ARGV = st.one_of(
+    concat(st.just(["partitions"]), single(small_int(-2, 12)),
+           option("--max-len", small_int(-1, 5))),
+    *(query(name, len(arguments.split())) for name, arguments in QUERY_USAGE.items()),
+    concat(st.just(["iset"]), single(small_int(-2, 30)),
+           st.lists(small_int(-1, 2), min_size=2, max_size=2),
+           st.one_of(st.just([]), st.just(["--enumerate"]),
+                     partition_text.map(lambda mu: ["--member", mu]))),
+    *(
+        concat(st.sampled_from(BOUND_RULES).map(lambda rule: ["bound", rule]),
+               present("--k", int_list(8)), present("--d", small_int(-1, 2)),
+               option("--m", int_list(2)), present("--s", small_int(-1, 3)),
+               present("--mu", st.lists(partition_text, min_size=1, max_size=2).map(";".join)),
+               option("--letters", small_int(-1, 4)))
+        for present in (option, required)
+    ),
+    concat(st.just(["example"]), single(small_int(-2, 8)),
+           st.sampled_from([[], ["--top"]]), st.sampled_from([[], ["--verify-identity"]])),
+    st.lists(st.sampled_from(["<valid>", "<invalid>", "<missing>"]), min_size=2, max_size=2)
+    .map(lambda specs: ["mv-check", *specs]),
+)
+
+FUZZED_ARGV = concat(
+    option("--format", st.sampled_from(["text", "json"])),
+    option("--cap", small_int(-1, 1000)),
+    option("--workers", small_int(0, 2)),
+    SUBCOMMAND_ARGV,
+)
+
+
+def test_every_argv_ends_in_a_stable_exit_code(tmp_path, capsys):
+    valid = tmp_path / "valid.json"
+    valid.write_text(json.dumps(example_variety(3).to_json_dict()))
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text("{not json")
+    paths = {"<valid>": str(valid), "<invalid>": str(invalid), "<missing>": str(tmp_path / "none")}
+
+    @settings(max_examples=300, deadline=None)
+    @given(FUZZED_ARGV)
+    def check(argv):
+        argv = [paths.get(arg, arg) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err, argv
+
+    check()
 
 
 # Start-up: a fresh ``import isotypic`` stays off these stdlib modules, and
