@@ -25,7 +25,13 @@ extended.  The last strip is counted in closed form: what remains must be a
 single row or a single column.  The walk keeps its pending prefixes on an
 explicit stack, so its depth, at most ``min(t, k)`` parts, uses no
 recursion.  In the equivariant and projection sums every split factor is 1,
-and a block sum is a closed form in the counts of partitions by length.
+and a block sum is a closed form in the counts of partitions by length: the
+differences of one table of at-most-length counts per weight, the same table
+the term cap counts from.
+
+``affine_multiplicity_bound`` is the one evaluator of the affine sum.  The
+semi-algebraic bound is a binomial prefactor times its value, and the complex
+bound is its value at doubled widths.
 
 Evaluation refuses to start when the paper's sum has more lambda-terms than
 the cap; the terms are counted, not enumerated.  The ``workers`` keyword is
@@ -42,7 +48,7 @@ from .errors import DomainError, EnumerationCapExceeded
 from .partitions import (
     Partition,
     PartitionTuple,
-    count_exact_length,
+    _count_at_most,
     count_partition_tuples,
     count_partitions,
     splits,
@@ -205,18 +211,6 @@ def g_factor(
     return total
 
 
-def _core_sum(mu_tuple: PartitionTuple, params: BoundParams, cap: int) -> int:
-    thresholds = params.thresholds
-    _check_term_cap(params.weights, thresholds, cap)
-    total = 1
-    for mu, k, t, m in zip(mu_tuple, params.weights, thresholds, params.widths):
-        block = _block_sum(mu, min(t, k), (2 * params.degree) ** m)
-        if block == 0:
-            return 0
-        total *= block
-    return total
-
-
 _POLY_NOTE = (
     "exact finite sum; grows polynomially in the block weights for fixed degree "
     "and widths (the exponent constants are not pinned, so no numeric asymptote "
@@ -238,11 +232,15 @@ def affine_multiplicity_bound(
     that is exact, since every summand vanishes there.
     """
     mu_tuple = _coerce_target(mu, params)
-    if not all(
-        fits_in_corner(c, t) for c, t in zip(mu_tuple, params.thresholds)
-    ):
-        return BoundReport(0, "affine", params, mu_tuple, True, _POLY_NOTE)
-    value = _core_sum(mu_tuple, params, cap)
+    thresholds = params.thresholds
+    value = 0
+    if all(fits_in_corner(c, t) for c, t in zip(mu_tuple, thresholds)):
+        _check_term_cap(params.weights, thresholds, cap)
+        value = 1
+        for c, k, t, m in zip(mu_tuple, params.weights, thresholds, params.widths):
+            value *= _block_sum(c, min(t, k), (2 * params.degree) ** m)
+            if value == 0:
+                break
     return BoundReport(value, "affine", params, mu_tuple, value == 0, _POLY_NOTE)
 
 
@@ -277,22 +275,8 @@ def sa_multiplicity_bound(
     symmetric polynomials: the affine sum times a binomial prefactor."""
     prefactor = sa_prefactor(params)
     affine = affine_multiplicity_bound(mu, params, cap=cap)
-    if affine.excluded:
-        return BoundReport(0, "semialgebraic", params, affine.target, True, _POLY_NOTE)
-    return BoundReport(
-        prefactor * affine.value,
-        "semialgebraic",
-        params,
-        affine.target,
-        False,
-        _POLY_NOTE,
-    )
-
-
-def _doubled_width_params(params: BoundParams) -> BoundParams:
-    return BoundParams(
-        params.weights, tuple(2 * m for m in params.widths), params.degree
-    )
+    value = prefactor * affine.value
+    return BoundReport(value, "semialgebraic", params, affine.target, affine.excluded, _POLY_NOTE)
 
 
 def _member_of_admissible_tuple(
@@ -318,22 +302,22 @@ def complex_multiplicity_bound(
 
     Computed through the real reduction: splitting each complex coordinate
     into real and imaginary parts keeps the degree and doubles every block
-    width, so the value is the affine sum at widths ``2m``.  Exclusion is
-    tested against the admissible set with both degree and widths doubled,
-    which contains the reduction's set.
+    width, so the value is ``affine_multiplicity_bound`` at widths ``2m``.
+    A zero value is excluded only if the target also lies outside the
+    admissible set with both degree and widths doubled, which contains the
+    reduction's set.
     """
-    doubled = _doubled_width_params(params)
-    mu_tuple = _coerce_target(mu, doubled)
+    doubled = BoundParams(params.weights, [2 * m for m in params.widths], params.degree)
+    affine = affine_multiplicity_bound(mu, doubled, cap=cap)
     exclusion_thresholds = tuple(
         restriction_threshold(2 * params.degree, 2 * m) for m in params.widths
     )
-    value = 0
-    if all(fits_in_corner(c, t) for c, t in zip(mu_tuple, doubled.thresholds)):
-        value = _core_sum(mu_tuple, doubled, cap)
-    excluded = value == 0 and not _member_of_admissible_tuple(
-        mu_tuple, doubled.weights, exclusion_thresholds, cap
+    excluded = affine.excluded and not _member_of_admissible_tuple(
+        affine.target, params.weights, exclusion_thresholds, cap
     )
-    return BoundReport(value, "complex-affine", params, mu_tuple, excluded, _POLY_NOTE)
+    return BoundReport(
+        affine.value, "complex-affine", params, affine.target, excluded, _POLY_NOTE
+    )
 
 
 def projective_multiplicity_bound(
@@ -377,11 +361,10 @@ def projective_multiplicity_bound(
 
 
 def _by_length(k: int, max_length: int, base: int) -> int:
-    # sum of base**len(lam) over Par(k, max_length), grouped by length
-    return sum(
-        count_exact_length(k, length) * base**length
-        for length in range(1, min(max_length, k) + 1)
-    )
+    # sum of base**len(lam) over Par(k, max_length), grouped by length: the
+    # count of each length is a difference in one table of at-most counts
+    counts = _count_at_most(k, min(max_length, k))
+    return sum((counts[j] - counts[j - 1]) * base**j for j in range(1, len(counts)))
 
 
 def equivariant_bound(

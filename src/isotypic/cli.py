@@ -3,7 +3,8 @@
 Every subcommand prints either stable text or JSON (``--format json``).
 Multiplicities, dimensions and bound values are decimal strings in JSON
 output because they outgrow native integer widths quickly.  Exit codes:
-0 success, 2 parse/usage error, 3 domain error, 4 enumeration cap exceeded.
+0 success, 2 parse/usage error, 3 domain error (also a value too large to
+index), 4 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -109,12 +110,11 @@ def _cmd_iset(args) -> int:
         mu = parse_partition(args.member)
         if mu.weight != k:
             raise DomainError(f"{mu} does not partition {k}")
-        if not restriction_check(mu, d, m):
-            verdict = False
-        else:
-            if k > ISET_ENUMERATION_MAX_K:
-                _refuse_iset_enumeration(k, d, m)
-            verdict = is_admissible(mu, d, m)
+        # a member fits in the corner, so a target that does not is answered
+        # above the cutoff too
+        if k > ISET_ENUMERATION_MAX_K and restriction_check(mu, d, m):
+            _refuse_iset_enumeration(k, d, m)
+        verdict = is_admissible(mu, d, m)
         _emit(
             args,
             {"mu": str(mu), "member": verdict},
@@ -320,7 +320,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EnumerationCapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

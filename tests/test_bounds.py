@@ -10,6 +10,7 @@ from isotypic import (
     PartitionTuple,
     affine_multiplicity_bound,
     complex_multiplicity_bound,
+    count_exact_length,
     enumerate_partition_tuples,
     enumerate_partitions,
     equivariant_bound,
@@ -27,6 +28,7 @@ from isotypic import (
 from isotypic import bounds
 from isotypic.admissible import _in_hook_union
 from isotypic.bounds import _member_of_admissible_tuple
+from isotypic.partitions import _count_at_most
 
 # frozen after first computation; k = 1..10 per row
 PROJECTIVE_GOLDEN = {
@@ -151,6 +153,31 @@ def test_complex_bound_excluded_fast_path():
     mu = Partition((17,) * 17)
     report = complex_multiplicity_bound(mu, BoundParams((289,), (1,), 1))
     assert report.value == 0 and report.excluded
+
+
+def test_complex_bound_is_affine_at_doubled_widths():
+    # no value is zero at k <= 8; the staircase (5,4,3,2,1) is zero at
+    # widths 2 but a member at (4d)^(2m) = 16, and the 17x17 square is neither
+    cases = [
+        (mu, d, m)
+        for k in range(1, 9)
+        for d in (1, 2)
+        for m in (1, 2)
+        for mu in enumerate_partitions(k)
+    ]
+    cases += [(Partition((5, 4, 3, 2, 1)), 1, 1), (Partition((17,) * 17), 1, 1)]
+    outcomes = set()
+    for mu, d, m in cases:
+        k = mu.weight
+        cplx = complex_multiplicity_bound(mu, BoundParams((k,), (m,), d))
+        affine = affine_multiplicity_bound(mu, BoundParams((k,), (2 * m,), d))
+        member = _member_of_admissible_tuple(
+            PartitionTuple([mu]), (k,), ((4 * d) ** (2 * m),), DEFAULT_TERM_CAP
+        )
+        assert cplx.value == affine.value
+        assert cplx.excluded == (affine.excluded and not member)
+        outcomes.add((cplx.value == 0, cplx.excluded))
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 def test_projective_bound_golden_values():
@@ -372,6 +399,23 @@ def test_exclusion_membership_matches_tuple_search(weights, thresholds):
         brute_member(mu, weights, thresholds)
         for mu in enumerate_partition_tuples(weights, weights)
     ]
+
+
+def test_by_length_matches_counts_by_exact_length():
+    for k in range(1, 61):
+        for t in range(1, 21):
+            for base in (2, 16):
+                assert bounds._by_length(k, t, base) == sum(
+                    count_exact_length(k, length) * base**length for length in range(t + 1)
+                )
+
+
+def test_projection_builds_one_count_table_per_weight():
+    # the term cap and the closed-form sum read the same table for each
+    # fiber weight p + 1, so 36 fiber weights leave 36 entries
+    _count_at_most.cache_clear()
+    projection_image_bound(36, 2, 2)
+    assert _count_at_most.cache_info().currsize <= 36
 
 
 def test_projection_matches_sum_of_fiber_powers():

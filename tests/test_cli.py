@@ -181,6 +181,26 @@ def test_exit_codes(capsys):
     assert exit_info.value.code == 2
 
 
+HUGE = "99999999999999999999"
+TOO_LARGE_TO_INDEX = [
+    ("dim", f"[{HUGE}]"),
+    ("split-module", "[]", f"[{HUGE}]"),
+    ("bound", "affine", "--k", HUGE, "--d", "1", "--mu", f"[{HUGE}]"),
+    ("bound", "equivariant", "--k", HUGE, "--d", "1"),
+    ("bound", "projective", "--k", HUGE, "--d", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE_TO_INDEX)
+def test_values_too_large_to_index_are_domain_errors(capsys, argv):
+    # the OverflowError of a list or range that long ends as one domain error
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "--format", fmt, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("domain error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 def test_bounds_at_large_weight(capsys):
     code, out, err = run_cli(capsys, "bound", "equivariant", "--k", "2000", "--d", "1", "--m", "1")
     assert code == 0 and err == ""
