@@ -8,10 +8,7 @@ All arithmetic is exact (arbitrary-precision integers).
 
 from .admissible import (
     AdmissibleSet,
-    admissible_for,
-    admissible_for_partition,
     admissible_set,
-    admissible_set_tuple,
     is_admissible,
     restriction_check,
     restriction_threshold,
@@ -41,7 +38,6 @@ from .induction import (
     sign_twist,
     split_module,
     split_multiplicity,
-    tuple_outer,
     young_module,
 )
 from .oracles import ORACLE_WEIGHT_CAP, oracle_count_ssyt, oracle_count_syt, oracle_lr
@@ -54,34 +50,25 @@ from .orbits import (
     mv_check,
     orbit_intersection,
     orbit_union,
-    projective_example_variety,
     top_cohomology,
     verify_power_identity,
 )
 from .partitions import (
     Partition,
     PartitionTuple,
-    count_by_length_profile,
-    count_exact_length,
     count_partition_tuples,
     count_partitions,
     dominates,
-    enumerate_partition_tuples,
     enumerate_partitions,
     parse_partition,
     parse_partition_tuple,
     splits,
 )
 from .tableaux import (
-    SkewShape,
     hook_lengths,
-    horizontal_strip_extensions,
-    horizontal_strip_restrictions,
     kostka,
     lr_coefficient,
     specht_dim,
-    two_row_dim,
-    vertical_strip_extensions,
 )
 
 __version__ = "0.1.0"

@@ -22,21 +22,19 @@ the sign twist of M^beta.
    S^nu . S^rho with l(nu) <= a and rho_1 <= b reach exactly the mu with
    mu_{a+1} <= b.  Taking b = T - a, the largest allowed, gives the union.
 
-The per-partition reachable sets (``admissible_for_partition``, built from
-the forward Pieri tables) have no closed form; they stay as the
-independent check path.  The row/column restriction test is only a fast
-necessary filter (it admits partitions, such as (4,2,1) for threshold 2,
-that the exact set rules out).
+The per-partition reachable sets have no closed form; the supports of
+``induction.max_split_multiplicities``, built from the forward Pieri
+tables, are the independent check path.  The row/column restriction test
+is only a fast necessary filter (it admits partitions, such as (4,2,1) for
+threshold 2, that the exact set rules out).
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 from .errors import DomainError
-from .induction import max_split_multiplicities
-from .partitions import Partition, PartitionTuple, enumerate_partitions
+from .partitions import Partition, enumerate_partitions
 from .records import Record
 
 
@@ -67,25 +65,6 @@ def _in_hook_union(mu: Partition, t: int) -> bool:
     return any(mu.part(a) <= t - a for a in range(t + 1))
 
 
-def admissible_for_partition(lam: Sequence[int]) -> frozenset[Partition]:
-    """Irreducibles reachable from some split of a single partition."""
-    return frozenset(max_split_multiplicities(lam))
-
-
-def admissible_for(lam_tuple: Sequence[Sequence[int]]) -> frozenset[PartitionTuple]:
-    """Componentwise reachable set of a partition tuple, combined Cartesian-wise."""
-    lam_tuple = PartitionTuple(lam_tuple)
-    factor_sets = [sorted(admissible_for_partition(c), reverse=True) for c in lam_tuple]
-    out = set()
-    _product_into(out, factor_sets)
-    return frozenset(out)
-
-
-def _product_into(out: set, factor_sets: list) -> None:
-    for combo in itertools.product(*factor_sets):
-        out.add(PartitionTuple(combo))
-
-
 class AdmissibleSet(Record):
     """An admissible set together with the parameters that produced it."""
 
@@ -107,12 +86,10 @@ class AdmissibleSet(Record):
         )
 
     def __contains__(self, mu) -> bool:
-        if len(self.weights) == 1 and not isinstance(mu, PartitionTuple):
-            try:
-                mu = Partition(mu)
-            except DomainError:
-                return False
-        return mu in self.members
+        try:
+            return Partition(mu) in self.members
+        except DomainError:
+            return False
 
     def __len__(self) -> int:
         return len(self.members)
@@ -128,24 +105,6 @@ def admissible_set(k: int, d: int, m: int) -> AdmissibleSet:
     t = restriction_threshold(d, m)
     members = frozenset(mu for mu in enumerate_partitions(k) if _in_hook_union(mu, t))
     return AdmissibleSet((k,), (d,), (m,), members)
-
-
-def admissible_set_tuple(
-    weights: Sequence[int], degrees: Sequence[int], widths: Sequence[int]
-) -> AdmissibleSet:
-    """Componentwise product of per-factor admissible sets."""
-    weights = tuple(weights)
-    degrees = tuple(degrees)
-    widths = tuple(widths)
-    if not (len(weights) == len(degrees) == len(widths)):
-        raise DomainError("weights, degrees and widths must have equal arity")
-    factor_sets = [
-        sorted(admissible_set(k, d, m).members, reverse=True)
-        for k, d, m in zip(weights, degrees, widths)
-    ]
-    members: set[PartitionTuple] = set()
-    _product_into(members, factor_sets)
-    return AdmissibleSet(weights, degrees, widths, frozenset(members))
 
 
 def is_admissible(mu: Sequence[int], d: int, m: int) -> bool:

@@ -252,15 +252,25 @@ def general_position_degree(params: BoundParams) -> int:
     )
 
 
-def sa_prefactor(params: BoundParams) -> int:
-    """The binomial double sum that multiplies the affine sum in the
-    semi-algebraic bound."""
+def _require_polys(params: BoundParams) -> int:
     if params.polys is None:
         raise DomainError("semi-algebraic bound needs the number of polynomials")
+    return params.polys
+
+
+def sa_prefactor(params: BoundParams) -> int:
+    """The binomial double sum that multiplies the affine sum in the
+    semi-algebraic bound: the sum over 0 <= i < D and 1 <= j <= D - i of
+    C(2s+1, j) 6^j, where D is the general-position degree.
+
+    Each j occurs for D - j + 1 values of i, and C(2s+1, j) vanishes for
+    j > 2s+1, so the double sum is evaluated as the single sum of
+    (D - j + 1) C(2s+1, j) 6^j over 1 <= j <= min(D, 2s+1).
+    """
+    s = _require_polys(params)
     D = general_position_degree(params)
-    s = params.polys
     return sum(
-        comb(2 * s + 1, j) * 6**j for i in range(D) for j in range(1, D - i + 1)
+        (D - j + 1) * comb(2 * s + 1, j) * 6**j for j in range(1, min(D, 2 * s + 1) + 1)
     )
 
 
@@ -272,10 +282,12 @@ def sa_multiplicity_bound(
     workers: int = 1,
 ) -> BoundReport:
     """Bound for closed semi-algebraic sets cut out by ``params.polys``
-    symmetric polynomials: the affine sum times a binomial prefactor."""
-    prefactor = sa_prefactor(params)
+    symmetric polynomials: the affine sum times a binomial prefactor.  The
+    affine sum is evaluated first, so that its term cap refuses before any
+    other work."""
+    _require_polys(params)
     affine = affine_multiplicity_bound(mu, params, cap=cap)
-    value = prefactor * affine.value
+    value = sa_prefactor(params) * affine.value
     return BoundReport(value, "semialgebraic", params, affine.target, affine.excluded, _POLY_NOTE)
 
 

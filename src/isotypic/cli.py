@@ -312,6 +312,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--cap must be at least 1")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
+    # Exact values can be longer than the interpreter's int <-> str
+    # conversion limit, so the command runs without it; argparse has
+    # already converted the integer arguments under it.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        digits_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except ParseError as exc:
@@ -323,6 +330,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DomainError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(digits_limit)
 
 
 if __name__ == "__main__":

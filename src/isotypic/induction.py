@@ -1,21 +1,19 @@
 """Decompositions of induced modules.
 
-A :class:`Decomposition` records a finite-dimensional module up to
-isomorphism as a multiplicity map over irreducibles.  Keys are
-:class:`Partition` values for a single symmetric group (ambient weight an
-int) or :class:`PartitionTuple` values for a product group (ambient a tuple
-of weights).  All combinators return fresh values.
+A :class:`Decomposition` records a finite-dimensional module of a single
+symmetric group up to isomorphism, as a multiplicity map over irreducibles:
+its keys are :class:`Partition` values and its ambient is the weight they
+share.  All combinators return fresh values.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
-from .partitions import Partition, PartitionTuple, enumerate_partitions, splits
+from .partitions import Partition, enumerate_partitions, parse_partition, splits
 from .tableaux import (
     _horizontal_strips_above,
     _peel,
@@ -26,34 +24,15 @@ from .tableaux import (
 )
 
 
-def _coerce_key(key) -> Partition | PartitionTuple:
-    if isinstance(key, (Partition, PartitionTuple)):
-        return key
-    key = tuple(key)
-    if key and not isinstance(key[0], int):
-        return PartitionTuple(key)
-    return Partition(key)
-
-
-def _key_weight(key):
-    return key.weights if isinstance(key, PartitionTuple) else key.weight
-
-
-def _key_dim(key) -> int:
-    if isinstance(key, PartitionTuple):
-        d = 1
-        for comp in key:
-            d *= specht_dim(comp)
-        return d
-    return specht_dim(key)
-
-
 class Decomposition:
-    """Finitely supported map from irreducibles to natural multiplicities."""
+    """Finitely supported map from irreducibles of S_k to natural
+    multiplicities; ``k`` is the ambient weight."""
 
     __slots__ = ("_terms", "_ambient")
 
-    def __init__(self, terms: Mapping | Iterable = (), ambient=None):
+    def __init__(self, terms: Mapping | Iterable = (), ambient: int | None = None):
+        if ambient is not None and (not isinstance(ambient, int) or ambient < 0):
+            raise DomainError(f"ambient weight must be a natural number, got {ambient!r}")
         items = dict(terms)
         clean: dict = {}
         for key, mult in items.items():
@@ -61,8 +40,8 @@ class Decomposition:
                 raise DomainError(f"multiplicities must be natural numbers, got {mult!r}")
             if mult == 0:
                 continue
-            key = _coerce_key(key)
-            weight = _key_weight(key)
+            key = Partition(key)
+            weight = key.weight
             if ambient is None:
                 ambient = weight
             elif weight != ambient:
@@ -76,7 +55,7 @@ class Decomposition:
         self._ambient = ambient
 
     @classmethod
-    def _from_valid(cls, terms: dict, ambient) -> "Decomposition":
+    def _from_valid(cls, terms: dict, ambient: int) -> "Decomposition":
         # fast path for combinators whose outputs are valid by construction
         self = object.__new__(cls)
         self._terms = terms
@@ -84,7 +63,7 @@ class Decomposition:
         return self
 
     @property
-    def ambient(self):
+    def ambient(self) -> int:
         return self._ambient
 
     def items(self) -> list:
@@ -95,10 +74,10 @@ class Decomposition:
         return sorted(self._terms, reverse=True)
 
     def __getitem__(self, key) -> int:
-        return self._terms.get(_coerce_key(key), 0)
+        return self._terms.get(Partition(key), 0)
 
     def __contains__(self, key) -> bool:
-        return _coerce_key(key) in self._terms
+        return Partition(key) in self._terms
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -126,18 +105,9 @@ class Decomposition:
             terms[key] = terms.get(key, 0) + mult
         return Decomposition._from_valid(terms, self._ambient)
 
-    def scaled(self, factor: int) -> "Decomposition":
-        if not isinstance(factor, int) or factor < 0:
-            raise DomainError("scale factor must be a natural number")
-        if factor == 0:
-            return Decomposition._from_valid({}, self._ambient)
-        return Decomposition._from_valid(
-            {k: factor * m for k, m in self._terms.items()}, self._ambient
-        )
-
     def total_dim(self) -> int:
         """Dimension of the module: sum of multiplicity times irreducible dimension."""
-        return sum(mult * _key_dim(key) for key, mult in self._terms.items())
+        return sum(mult * specht_dim(key) for key, mult in self._terms.items())
 
     def map_keys(self, fn) -> "Decomposition":
         """Rekey through ``fn``, which must preserve the ambient weight."""
@@ -156,33 +126,21 @@ class Decomposition:
         return f"Decomposition({dict(self.items())!r}, ambient={self._ambient!r})"
 
     def to_json_dict(self) -> dict:
-        ambient = list(self._ambient) if isinstance(self._ambient, tuple) else self._ambient
         return {
-            "ambient": ambient,
+            "ambient": self._ambient,
             "terms": {str(key): str(mult) for key, mult in self.items()},
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Decomposition":
-        from .partitions import parse_partition, parse_partition_tuple
-
-        raw_ambient = data["ambient"]
-        tupled = isinstance(raw_ambient, list)
-        ambient = tuple(raw_ambient) if tupled else raw_ambient
-        parse = parse_partition_tuple if tupled else parse_partition
-        terms = {parse(text): int(mult) for text, mult in data["terms"].items()}
-        return cls(terms, ambient=ambient)
+        terms = {parse_partition(text): int(mult) for text, mult in data["terms"].items()}
+        return cls(terms, ambient=data["ambient"])
 
 
-def _require_single_factor(dec: Decomposition, op: str):
-    if not isinstance(dec.ambient, int):
-        raise DomainError(f"{op} applies to single-factor decompositions only")
-
-
-def irreducible(key, mult: int = 1) -> Decomposition:
+def irreducible(key: Sequence[int], mult: int = 1) -> Decomposition:
     """The decomposition holding a single irreducible."""
-    key = _coerce_key(key)
-    return Decomposition({key: mult}, ambient=_key_weight(key))
+    key = Partition(key)
+    return Decomposition({key: mult}, ambient=key.weight)
 
 
 def young_module(lam: Sequence[int]) -> Decomposition:
@@ -202,16 +160,15 @@ def young_module(lam: Sequence[int]) -> Decomposition:
 
 def pieri_row(dec: Decomposition, n: int) -> Decomposition:
     """Induce with a trivial factor on ``n`` extra letters: add horizontal strips."""
-    return _pieri(dec, n, "pieri_row", _horizontal_strips_above)
+    return _pieri(dec, n, _horizontal_strips_above)
 
 
 def pieri_col(dec: Decomposition, n: int) -> Decomposition:
     """Induce with a sign factor on ``n`` extra letters: add vertical strips."""
-    return _pieri(dec, n, "pieri_col", _vertical_strips_above)
+    return _pieri(dec, n, _vertical_strips_above)
 
 
-def _pieri(dec: Decomposition, n: int, op: str, strips) -> Decomposition:
-    _require_single_factor(dec, op)
+def _pieri(dec: Decomposition, n: int, strips) -> Decomposition:
     if n < 0:
         raise DomainError("strip size must be nonnegative")
     if n == 0:
@@ -228,8 +185,6 @@ def outer_product(d1: Decomposition, d2: Decomposition) -> Decomposition:
 
     On irreducibles the coefficients are the Littlewood-Richardson numbers.
     """
-    _require_single_factor(d1, "outer_product")
-    _require_single_factor(d2, "outer_product")
     k = d1.ambient + d2.ambient
     candidates = enumerate_partitions(k)
     terms: dict = {}
@@ -281,24 +236,6 @@ def split_multiplicity(mu: Sequence[int], triv: Sequence[int], sign: Sequence[in
 def sign_twist(dec: Decomposition) -> Decomposition:
     """Tensor with the sign character: transpose every key. An involution."""
     return dec.map_keys(lambda key: key.transpose())
-
-
-def tuple_outer(components: Sequence[Decomposition]) -> Decomposition:
-    """Combine single-factor decompositions into one over the product group."""
-    comps = list(components)
-    if not comps:
-        raise DomainError("tuple_outer needs at least one component")
-    for dec in comps:
-        _require_single_factor(dec, "tuple_outer")
-    ambient = tuple(dec.ambient for dec in comps)
-    terms: dict = {}
-    for combo in itertools.product(*(dec.items() for dec in comps)):
-        key = PartitionTuple(k for k, _ in combo)
-        mult = 1
-        for _, m in combo:
-            mult *= m
-        terms[key] = terms.get(key, 0) + mult
-    return Decomposition(terms, ambient=ambient)
 
 
 @lru_cache(maxsize=None)

@@ -86,11 +86,6 @@ def example_variety(k: int) -> OrbitSpec:
     return OrbitSpec(k, tuple(orbits))
 
 
-# The projective variant of the model has the same orbit structure, hence an
-# identical H^0 decomposition.
-projective_example_variety = example_variety
-
-
 def closed_form_multiplicity(mu: Sequence[int]) -> int:
     """Multiplicity of a two-row irreducible in H^0 of the example: 2*mu1 - k + 1."""
     mu = Partition(mu)

@@ -1,14 +1,15 @@
-"""Integer partitions and tuples of partitions: enumeration, order theory, counting.
+"""Integer partitions: enumeration, order theory, counting and parsing.
 
 Everything here is a pure function on immutable values.  The canonical
 enumeration order used throughout the package is reverse-lexicographic on
 part sequences, which for :class:`Partition` (a tuple subclass) is plain
-``sorted(..., reverse=True)``.
+``sorted(..., reverse=True)``.  A :class:`PartitionTuple` holds one
+partition per block of the multi-block bounds.
 """
 
 from __future__ import annotations
 
-import itertools
+import sys
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -82,7 +83,7 @@ def _transpose(lam: "Partition") -> "Partition":
 
 
 class PartitionTuple(tuple):
-    """One partition per factor of a product of symmetric groups."""
+    """One partition per block of a multi-block bound."""
 
     __slots__ = ()
 
@@ -93,14 +94,6 @@ class PartitionTuple(tuple):
     @property
     def weights(self) -> tuple[int, ...]:
         return tuple(c.weight for c in self)
-
-    @property
-    def length(self) -> int:
-        """Total number of parts across all components."""
-        return sum(len(c) for c in self)
-
-    def transpose(self) -> "PartitionTuple":
-        return PartitionTuple(c.transpose() for c in self)
 
     def __str__(self) -> str:
         return ";".join(str(c) for c in self)
@@ -165,18 +158,6 @@ def count_partitions(k: int, max_length: int | None = None) -> int:
     return _count_at_most(k, k if max_length is None else min(max_length, k))[-1]
 
 
-def count_exact_length(k: int, length: int) -> int:
-    """Number of partitions of ``k`` with exactly ``length`` parts."""
-    if length < 0:
-        return 0
-    if length == 0:
-        return 1 if k == 0 else 0
-    if length > k:
-        return 0
-    counts = _count_at_most(k, length)
-    return counts[length] - counts[length - 1]
-
-
 def dominates(mu: Sequence[int], lam: Sequence[int]) -> bool:
     """Dominance order: every prefix sum of ``mu`` is >= that of ``lam``.
 
@@ -195,28 +176,6 @@ def dominates(mu: Sequence[int], lam: Sequence[int]) -> bool:
         if sum_mu < sum_lam:
             return False
     return True
-
-
-def count_by_length_profile(weights: Sequence[int], profile: Sequence[int]) -> int:
-    """Number of partition tuples of ``weights`` with the exact per-factor lengths."""
-    if len(weights) != len(profile):
-        raise DomainError("weight tuple and length profile must have equal arity")
-    total = 1
-    for k, p in zip(weights, profile):
-        total *= count_exact_length(k, p)
-        if total == 0:
-            return 0
-    return total
-
-
-def enumerate_partition_tuples(
-    weights: Sequence[int], max_lengths: Sequence[int]
-) -> list[PartitionTuple]:
-    """Cartesian product of the per-factor bounded enumerations, canonical order."""
-    if len(weights) != len(max_lengths):
-        raise DomainError("weight tuple and length-bound tuple must have equal arity")
-    factors = [enumerate_partitions(k, d) for k, d in zip(weights, max_lengths)]
-    return [PartitionTuple(combo) for combo in itertools.product(*factors)]
 
 
 def count_partition_tuples(weights: Sequence[int], max_lengths: Sequence[int]) -> int:
@@ -252,6 +211,13 @@ def splits(lam: Sequence[int]) -> list[tuple[Partition, Partition]]:
     ]
 
 
+# The interpreter's default limit on int <-> str conversion.  The CLI lifts
+# that limit while a command runs, so that long exact values print; a part
+# stays within it, since a part that long is far beyond any size the
+# engine can index or enumerate.
+_MAX_PART_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
+
+
 def _parse_partition_at(text: str, i: int) -> tuple[Partition, int]:
     n = len(text)
     if i >= n or text[i] != "[":
@@ -266,6 +232,8 @@ def _parse_partition_at(text: str, i: int) -> tuple[Partition, int]:
             i += 1
         if i == start:
             raise ParseError("expected integer", i)
+        if i - start > _MAX_PART_DIGITS:
+            raise ParseError(f"part has more than {_MAX_PART_DIGITS} digits", start)
         value = int(text[start:i])
         if value < 1:
             raise ParseError("parts must be positive", start)

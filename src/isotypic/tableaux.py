@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .errors import DomainError
 from .partitions import Partition
-from .records import Record
 
 
 def hook_lengths(lam: Sequence[int]) -> dict[tuple[int, int], int]:
@@ -49,55 +48,6 @@ def _specht_dim(lam: Partition) -> int:
 def specht_dim(lam: Sequence[int]) -> int:
     """Dimension of the irreducible indexed by ``lam``: k! over the hook product."""
     return _specht_dim(Partition(lam))
-
-
-def two_row_dim(mu: Sequence[int]) -> int:
-    """Closed-form dimension for shapes with at most two rows."""
-    mu = Partition(mu)
-    if len(mu) > 2:
-        raise DomainError(f"closed form requires at most two rows, got {mu}")
-    a = mu.part(0)
-    b = mu.part(1)
-    quotient, remainder = divmod(factorial(a + b) * (a - b + 1), factorial(a + 1) * factorial(b))
-    if remainder:
-        raise AssertionError(f"two-row division not exact for {mu}")
-    return quotient
-
-
-class SkewShape(Record):
-    """A pair of nested partitions; the cells of outer not in inner."""
-
-    __slots__ = ("outer", "inner")
-
-    def __init__(self, outer: Sequence[int], inner: Sequence[int]):
-        outer = Partition(outer)
-        inner = Partition(inner)
-        if not outer.contains(inner):
-            raise DomainError(f"inner shape {inner} does not fit inside {outer}")
-        self._set(outer, inner)
-
-    @property
-    def size(self) -> int:
-        return self.outer.weight - self.inner.weight
-
-    def cells(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(len(self.outer))
-            for j in range(self.inner.part(i), self.outer[i])
-        ]
-
-    def is_horizontal_strip(self) -> bool:
-        """At most one cell per column: rows interleave."""
-        return all(
-            self.outer.part(i + 1) <= self.inner.part(i) for i in range(len(self.outer))
-        )
-
-    def is_vertical_strip(self) -> bool:
-        """At most one cell per row."""
-        return all(
-            self.outer[i] - self.inner.part(i) <= 1 for i in range(len(self.outer))
-        )
 
 
 @lru_cache(maxsize=None)
@@ -128,13 +78,6 @@ def _horizontal_strips_above(lam: Partition, n: int) -> tuple[Partition, ...]:
         else:
             out.append(Partition._from_valid(rows + (left,)))
     return tuple(out)
-
-
-def horizontal_strip_extensions(lam: Sequence[int], n: int) -> list[Partition]:
-    """All partitions obtained from ``lam`` by adding a horizontal strip of ``n`` cells."""
-    if n < 0:
-        raise DomainError("strip size must be nonnegative")
-    return list(_horizontal_strips_above(Partition(lam), n))
 
 
 @lru_cache(maxsize=None)
@@ -175,20 +118,6 @@ def _vertical_strips_above(lam: Partition, n: int) -> tuple[Partition, ...]:
 @lru_cache(maxsize=None)
 def _vertical_strips_below(mu: Partition, n: int) -> tuple[Partition, ...]:
     return _conjugates(_horizontal_strips_below.__wrapped__(mu.transpose(), n))
-
-
-def vertical_strip_extensions(lam: Sequence[int], n: int) -> list[Partition]:
-    """All partitions obtained from ``lam`` by adding a vertical strip of ``n`` cells."""
-    if n < 0:
-        raise DomainError("strip size must be nonnegative")
-    return list(_vertical_strips_above(Partition(lam), n))
-
-
-def horizontal_strip_restrictions(mu: Sequence[int], n: int) -> list[Partition]:
-    """All partitions obtained from ``mu`` by removing a horizontal strip of ``n`` cells."""
-    if n < 0:
-        raise DomainError("strip size must be nonnegative")
-    return list(_horizontal_strips_below(Partition(mu), n))
 
 
 def _split_steps(triv: Sequence[int], sign: Sequence[int] = ()) -> list[tuple[int, bool]]:

@@ -9,13 +9,11 @@ from isotypic import (
     DomainError,
     Partition,
     PartitionTuple,
-    admissible_for,
-    admissible_for_partition,
     admissible_set,
-    admissible_set_tuple,
     count_partitions,
     enumerate_partitions,
     is_admissible,
+    max_split_multiplicities,
     restriction_check,
     restriction_threshold,
     split_module,
@@ -60,27 +58,24 @@ def test_restriction_check_is_the_corner_condition():
                 assert restriction_check(mu, d, m) == expected
 
 
+def reachable_from(lam):
+    """Irreducibles reachable from some split of ``lam``: the support of its
+    forward-built table of best split multiplicities."""
+    return frozenset(max_split_multiplicities(lam))
+
+
 def test_admissible_for_partition():
-    assert admissible_for_partition((1,)) == frozenset({Partition((1,))})
+    assert reachable_from((1,)) == frozenset({Partition((1,))})
     for k in range(1, 8):
         for lam in enumerate_partitions(k):
-            reachable = admissible_for_partition(lam)
+            reachable = reachable_from(lam)
             assert Partition((k,)) in reachable
             expected = set()
             for triv, sign in splits(lam):
                 expected |= set(split_module(triv, sign).support())
             assert reachable == expected
-    one_part = admissible_for_partition((5,))
+    one_part = reachable_from((5,))
     assert Partition((5,)) in one_part and Partition((1,) * 5) in one_part
-
-
-def test_admissible_for_tuple():
-    got = admissible_for(PartitionTuple([(2,), (1, 1)]))
-    left = admissible_for_partition((2,))
-    right = admissible_for_partition((1, 1))
-    assert got == frozenset(
-        PartitionTuple([a, b]) for a in left for b in right
-    )
 
 
 def test_admissible_set_members_pass_restriction_check():
@@ -127,15 +122,6 @@ def test_admissible_set_golden_cardinalities():
     assert from_four == sorted(from_four)  # nondecreasing for k >= 4
 
 
-def test_admissible_set_tuple_reduces_and_multiplies():
-    single = admissible_set_tuple((6,), (1,), (1,))
-    assert {c[0] for c in single.members} == admissible_set(6, 1, 1).members
-    pair = admissible_set_tuple((2, 2), (1, 1), (1, 1))
-    assert len(pair) == len(admissible_set(2, 1, 1)) ** 2
-    with pytest.raises(DomainError):
-        admissible_set_tuple((2, 2), (1,), (1, 1))
-
-
 def test_admissible_set_record_fields():
     iset = admissible_set(5, 1, 1)
     assert isinstance(iset, AdmissibleSet)
@@ -143,6 +129,9 @@ def test_admissible_set_record_fields():
     assert iset.thresholds == (2,)
     members = iset.sorted_members()
     assert members == sorted(members, reverse=True)
+    # membership coerces plain sequences and refuses what is no partition
+    assert (5,) in iset and [1, 1, 1, 1, 1] in iset
+    assert (1, 4) not in iset and PartitionTuple([(5,)]) not in iset
 
 
 def test_membership_helper_agrees_with_enumeration():
@@ -157,7 +146,7 @@ def forward_pieri_union(k, t):
     split module of every partition of k with at most t parts."""
     members = set()
     for lam in enumerate_partitions(k, t):
-        members |= admissible_for_partition(lam)
+        members |= reachable_from(lam)
     return members
 
 

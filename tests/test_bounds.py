@@ -1,3 +1,8 @@
+import itertools
+from collections import Counter
+from functools import lru_cache
+from math import comb
+
 import pytest
 
 from isotypic import (
@@ -10,8 +15,6 @@ from isotypic import (
     PartitionTuple,
     affine_multiplicity_bound,
     complex_multiplicity_bound,
-    count_exact_length,
-    enumerate_partition_tuples,
     enumerate_partitions,
     equivariant_bound,
     g_factor,
@@ -110,6 +113,36 @@ def test_sa_prefactor_example():
     assert sa_prefactor(params) == 18
     with pytest.raises(DomainError):
         sa_prefactor(BoundParams((1,), (1,), 1))
+
+
+def paper_prefactor(D, s):
+    # the double sum as the semi-algebraic bound states it
+    return sum(comb(2 * s + 1, j) * 6**j for i in range(D) for j in range(1, D - i + 1))
+
+
+def test_sa_prefactor_matches_the_double_sum():
+    for k in range(1, 12):
+        for d in (1, 2, 3):
+            for m in (1, 2, 3):
+                for s in range(1, 6):
+                    for params in (
+                        BoundParams((k,), (m,), d, s),
+                        BoundParams((k, 2), (m, 1), d, s),
+                    ):
+                        D = general_position_degree(params)
+                        assert sa_prefactor(params) == paper_prefactor(D, s)
+
+
+def test_sa_term_cap_refuses_before_the_prefactor(monkeypatch):
+    # D = 6561 here: the double sum has 21.5 million terms
+    def prefactor(params):
+        raise AssertionError("the prefactor was evaluated")
+
+    monkeypatch.setattr(bounds, "sa_prefactor", prefactor)
+    with pytest.raises(EnumerationCapExceeded):
+        sa_multiplicity_bound((2000,), BoundParams((2000,), (8,), 3, 1))
+    with pytest.raises(DomainError):
+        sa_multiplicity_bound((3,), BoundParams((3,), (1,), 1))
 
 
 def test_sa_bound_factorizes_over_affine():
@@ -264,10 +297,17 @@ def test_multi_block_bound():
 # lambda-tuple of the paper's sum and read the forward Pieri tables.
 
 
+def partition_tuples(weights, max_lengths):
+    """Every tuple of partitions of ``weights`` within ``max_lengths``, in
+    the product of the per-block canonical orders."""
+    blocks = map(enumerate_partitions, weights, max_lengths)
+    return [PartitionTuple(lams) for lams in itertools.product(*blocks)]
+
+
 def brute_affine_sum(mu_tuple, weights, widths, d):
     thresholds = [(2 * d) ** m for m in widths]
     total = 0
-    for lam_tuple in enumerate_partition_tuples(weights, thresholds):
+    for lam_tuple in partition_tuples(weights, thresholds):
         term = 1
         for mu, lam, m in zip(mu_tuple, lam_tuple, widths):
             term *= (2 * d) ** (m * len(lam)) * max_split_multiplicities(lam).get(mu, 0)
@@ -278,14 +318,14 @@ def brute_affine_sum(mu_tuple, weights, widths, d):
 def brute_member(mu_tuple, weights, thresholds):
     return any(
         all(mu in max_split_multiplicities(lam) for mu, lam in zip(mu_tuple, lam_tuple))
-        for lam_tuple in enumerate_partition_tuples(weights, thresholds)
+        for lam_tuple in partition_tuples(weights, thresholds)
     )
 
 
 def brute_equivariant(weights, widths, d):
     thresholds = [(2 * d) ** m for m in widths]
     total = 0
-    for lam_tuple in enumerate_partition_tuples(weights, thresholds):
+    for lam_tuple in partition_tuples(weights, thresholds):
         term = 1
         for lam, m in zip(lam_tuple, widths):
             term *= (2 * d) ** (m * len(lam))
@@ -314,7 +354,7 @@ MULTI_BLOCK_CASES = [
 
 @pytest.mark.parametrize("weights,widths", MULTI_BLOCK_CASES)
 def test_block_product_matches_tuple_sum(weights, widths):
-    targets = enumerate_partition_tuples(weights, weights)
+    targets = partition_tuples(weights, weights)
     for d in (1, 2):
         params = BoundParams(weights, widths, d)
         assert equivariant_bound(weights, widths, d).value == brute_equivariant(
@@ -392,21 +432,38 @@ def test_exclusion_membership_matches_tuple_search(weights, thresholds):
     # small thresholds, so that some targets are not members
     verdicts = [
         _member_of_admissible_tuple(mu, weights, thresholds, DEFAULT_TERM_CAP)
-        for mu in enumerate_partition_tuples(weights, weights)
+        for mu in partition_tuples(weights, weights)
     ]
     assert not all(verdicts)
     assert verdicts == [
         brute_member(mu, weights, thresholds)
-        for mu in enumerate_partition_tuples(weights, weights)
+        for mu in partition_tuples(weights, weights)
     ]
 
 
+@lru_cache(maxsize=None)
+def exact_length_count(k, length):
+    """Partitions of k with exactly ``length`` parts: those with a part 1,
+    which drops, and those whose parts all shrink by 1."""
+    if k == 0 or length == 0:
+        return int(k == length)
+    if length > k:
+        return 0
+    return exact_length_count(k - 1, length - 1) + exact_length_count(k - length, length)
+
+
 def test_by_length_matches_counts_by_exact_length():
+    # the recurrence is checked against the enumeration where that is cheap
+    for k in range(21):
+        by_length = Counter(len(lam) for lam in enumerate_partitions(k))
+        assert [exact_length_count(k, j) for j in range(k + 1)] == [
+            by_length[j] for j in range(k + 1)
+        ]
     for k in range(1, 61):
         for t in range(1, 21):
             for base in (2, 16):
                 assert bounds._by_length(k, t, base) == sum(
-                    count_exact_length(k, length) * base**length for length in range(t + 1)
+                    exact_length_count(k, length) * base**length for length in range(t + 1)
                 )
 
 

@@ -1,11 +1,20 @@
 import json
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isotypic import Decomposition, OrbitSpec, example_variety, enumerate_partitions
+from isotypic import (
+    BoundParams,
+    Decomposition,
+    OrbitSpec,
+    affine_multiplicity_bound,
+    enumerate_partitions,
+    example_variety,
+    specht_dim,
+)
 from isotypic.cli import main
 
 
@@ -199,6 +208,59 @@ def test_values_too_large_to_index_are_domain_errors(capsys, argv):
         assert code == 3 and out == ""
         assert err.startswith("domain error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+# The interpreter refuses to convert ints of more than 4,300 digits to and
+# from text by default.  The CLI lifts that limit while a command runs, so
+# long exact values print, and refuses partition parts longer than it.
+STAIRCASE_95 = "[" + ",".join(map(str, range(95, 0, -1))) + "]"
+LONG_PART = "[" + "9" * 5000 + "]"
+
+
+def digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def test_values_longer_than_the_digit_limit_print(capsys):
+    limit = digit_limit()
+    affine = ("bound", "affine", "--k", "3", "--d", "1000", "--m", "2000", "--mu", "[3]")
+    cases = (
+        (("dim", STAIRCASE_95), 7262, specht_dim(range(95, 0, -1))),
+        (affine, 19807, affine_multiplicity_bound((3,), BoundParams((3,), (2000,), 1000)).value),
+    )
+    for argv, digits, value in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and len(out.strip()) == digits
+        # compared by the last digits, which need no long conversion here
+        assert int(out.strip()[-18:]) == value % 10**18
+        code, json_out, err = run_cli(capsys, "--format", "json", *argv)
+        assert code == 0 and err == "" and json.loads(json_out)["value"] == out.strip()
+        assert digit_limit() == limit  # restored once the command ends
+
+
+def test_parts_longer_than_the_digit_limit_are_parse_errors(capsys):
+    for argv in (
+        ("dim", LONG_PART),
+        ("lr", LONG_PART, "[]", LONG_PART),
+        ("bound", "affine", "--k", "3", "--d", "1", "--mu", LONG_PART),
+    ):
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, "--format", fmt, *argv)
+            assert (code, out) == (2, "")
+            assert err == "parse error: part has more than 4300 digits at position 1\n"
+
+
+def test_orbit_spec_numbers_longer_than_the_digit_limit(tmp_path, capsys):
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"k": 2, "orbits": [{"label": "a", "stabilizer": "[2]"}]}))
+    long_k = tmp_path / "long_k.json"
+    long_k.write_text('{"k": %s, "orbits": []}' % LONG_PART[1:-1])
+    long_label = tmp_path / "long_label.json"
+    long_label.write_text('{"k": 2, "orbits": [{"label": %s, "stabilizer": "[2]"}]}' % LONG_PART[1:-1])
+    code, out, err = run_cli(capsys, "mv-check", str(long_k), str(small))
+    assert code == 3 and out == "" and err.startswith("domain error: orbit specs live on 999")
+    code, out, err = run_cli(capsys, "mv-check", str(long_label), str(small))
+    assert (code, out, err) == (0, "mv-inequality holds\n", "")
 
 
 def test_bounds_at_large_weight(capsys):
@@ -399,6 +461,39 @@ def test_every_argv_ends_in_a_stable_exit_code(tmp_path, capsys):
         assert "Traceback" not in err, argv
 
     check()
+
+
+# The names ``import isotypic`` exports, submodules left out.  A deletion or
+# a new export changes this list on purpose.
+PUBLIC_NAMES = [
+    "AdmissibleSet", "BoundParams", "BoundReport", "DEFAULT_TERM_CAP",
+    "Decomposition", "DomainError", "EnumerationCapExceeded", "ORACLE_WEIGHT_CAP",
+    "OrbitSpec", "ParseError", "Partition", "PartitionTuple", "PowerIdentityCheck",
+    "admissible_set", "affine_multiplicity_bound", "closed_form_multiplicity",
+    "complex_multiplicity_bound", "count_partition_tuples", "count_partitions",
+    "dominates", "enumerate_partitions", "equivariant_bound", "example_variety",
+    "g_factor", "general_position_degree", "h0_decomposition", "hook_lengths",
+    "irreducible", "is_admissible", "kostka", "lr_coefficient",
+    "max_split_multiplicities", "mv_check", "oracle_count_ssyt", "oracle_count_syt",
+    "oracle_lr", "orbit_intersection", "orbit_union", "outer_product",
+    "parse_partition", "parse_partition_tuple", "pieri_col", "pieri_row",
+    "projection_image_bound", "projective_multiplicity_bound", "restriction_check",
+    "restriction_threshold", "sa_multiplicity_bound", "sa_prefactor", "sign_twist",
+    "specht_dim", "split_module", "split_multiplicity", "splits", "top_cohomology",
+    "verify_power_identity", "young_module",
+]
+
+
+def test_public_surface():
+    import isotypic
+
+    names = sorted(
+        name
+        for name, value in vars(isotypic).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert len(PUBLIC_NAMES) == 57
+    assert names == PUBLIC_NAMES
 
 
 # Start-up: a fresh ``import isotypic`` stays off these stdlib modules, and

@@ -8,7 +8,6 @@ from isotypic import (
     Decomposition,
     DomainError,
     Partition,
-    PartitionTuple,
     enumerate_partitions,
     irreducible,
     kostka,
@@ -21,7 +20,6 @@ from isotypic import (
     split_module,
     split_multiplicity,
     splits,
-    tuple_outer,
     young_module,
 )
 from isotypic.tableaux import _peel, _split_steps
@@ -49,6 +47,12 @@ def test_decomposition_basics():
         Decomposition({(3,): -1})
     with pytest.raises(DomainError):
         Decomposition({})
+    # one symmetric group: the ambient is a natural number, every key a partition
+    for ambient in ((2,), [2, 2], -1, "3"):
+        with pytest.raises(DomainError):
+            Decomposition({}, ambient=ambient)
+    with pytest.raises(DomainError):
+        Decomposition({((2,), (1,)): 1})
     empty = Decomposition({}, ambient=5)
     assert not empty and str(empty) == "0"
 
@@ -57,7 +61,6 @@ def test_decomposition_arithmetic():
     a = Decomposition({(2,): 1})
     b = Decomposition({(2,): 2, (1, 1): 1})
     assert (a + b)[(2,)] == 3
-    assert a.scaled(3)[(2,)] == 3
     with pytest.raises(DomainError):
         a + Decomposition({(3,): 1})
     assert a.total_dim() == 1
@@ -68,11 +71,11 @@ def test_decomposition_json_round_trip():
     dec = young_module((2, 1))
     data = json.loads(json.dumps(dec.to_json_dict()))
     assert Decomposition.from_json_dict(data) == dec
-    tup = tuple_outer([irreducible((2,)), young_module((1, 1))])
-    data = json.loads(json.dumps(tup.to_json_dict()))
-    assert Decomposition.from_json_dict(data) == tup
+    assert data == {"ambient": 3, "terms": {"[3]": "1", "[2,1]": "1"}}
     empty = Decomposition({}, ambient=4)
     assert Decomposition.from_json_dict(empty.to_json_dict()) == empty
+    with pytest.raises(DomainError):
+        Decomposition.from_json_dict({"ambient": [2, 2], "terms": {}})
 
 
 def test_young_module_examples():
@@ -248,21 +251,6 @@ def test_sign_twist():
 @given(decomposition_strategy())
 def test_sign_twist_involution(dec):
     assert sign_twist(sign_twist(dec)) == dec
-
-
-def test_tuple_outer():
-    lifted = tuple_outer([irreducible((2,))])
-    assert lifted[PartitionTuple([(2,)])] == 1
-    assert lifted.ambient == (2,)
-    pair = tuple_outer([irreducible((2,)), irreducible((1, 1))])
-    assert pair[PartitionTuple([(2,), (1, 1)])] == 1 and len(pair) == 1
-    mixed = tuple_outer([young_module((1, 1)), irreducible((1,))])
-    assert len(mixed) == 2
-    assert mixed[PartitionTuple([(2,), (1,)])] == 1
-    assert mixed[PartitionTuple([(1, 1), (1,)])] == 1
-    assert mixed.total_dim() == 2
-    with pytest.raises(DomainError):
-        tuple_outer([])
 
 
 def test_max_split_multiplicities_table():

@@ -17,7 +17,6 @@ from isotypic import (
     mv_check,
     orbit_intersection,
     orbit_union,
-    projective_example_variety,
     sign_twist,
     top_cohomology,
     verify_power_identity,
@@ -49,7 +48,6 @@ def test_example_variety_structure():
     assert [tuple(stab) for _, stab in spec.orbits] == [(3,), (2, 1), (2, 1), (3,)]
     for k in range(1, 9):
         assert len(example_variety(k)) == k + 1
-    assert projective_example_variety is example_variety
     with pytest.raises(DomainError):
         example_variety(0)
 

@@ -9,11 +9,9 @@ from isotypic import (
     ParseError,
     Partition,
     PartitionTuple,
-    count_by_length_profile,
     count_partition_tuples,
     count_partitions,
     dominates,
-    enumerate_partition_tuples,
     enumerate_partitions,
     parse_partition,
     parse_partition_tuple,
@@ -158,44 +156,42 @@ def test_dominance_known_values():
         dominates((2,), (3,))
 
 
-def test_length_profile_counts():
-    assert count_by_length_profile((4,), (2,)) == 2
-    assert count_by_length_profile((7,), (1,)) == 1
-    assert count_by_length_profile((3, 3), (1, 2)) == 1
-    assert count_by_length_profile((3,), (5,)) == 0
-    assert count_by_length_profile((0,), (0,)) == 1
-    with pytest.raises(DomainError):
-        count_by_length_profile((3, 3), (1,))
+def exact_length_counts(k):
+    """Partitions of k by number of parts, counted from the enumeration."""
+    return Counter(len(lam) for lam in enumerate_partitions(k))
 
 
 def test_length_profile_total_is_partition_count_product():
+    # summing the tuples of exact lengths within each bound counts the
+    # bounded tuples, by a route that shares nothing with the count table
     for weights in [(5,), (4, 3), (2, 2, 3)]:
-        total = sum(
-            count_by_length_profile(weights, profile)
-            for profile in product(*(range(k + 1) for k in weights))
-        )
-        expected = 1
-        for k in weights:
-            expected *= count_partitions(k)
-        assert total == expected
+        by_length = [exact_length_counts(k) for k in weights]
+        for bounds in product(*(range(1, k + 2) for k in weights)):
+            total = 0
+            for profile in product(*(range(b + 1) for b in bounds)):
+                term = 1
+                for counts, length in zip(by_length, profile):
+                    term *= counts[length]
+                total += term
+            assert count_partition_tuples(weights, bounds) == total
 
 
 def test_partition_tuple_enumeration():
-    assert enumerate_partition_tuples((2,), (1,)) == [PartitionTuple([(2,)])]
-    assert [tuple(map(tuple, t)) for t in enumerate_partition_tuples((3,), (2,))] == [
-        ((3,),), ((2, 1),)
-    ]
-    assert [tuple(map(tuple, t)) for t in enumerate_partition_tuples((2, 2), (2, 1))] == [
-        ((2,), (2,)), ((1, 1), (2,))
-    ]
+    # the bounded tuples are the product of the per-block enumerations
+    for weights, max_lengths in [((2,), (1,)), ((3,), (2,)), ((2, 2), (2, 1)), ((4, 4), (4, 2))]:
+        tuples = list(product(*map(enumerate_partitions, weights, max_lengths)))
+        assert count_partition_tuples(weights, max_lengths) == len(tuples)
     assert count_partition_tuples((4, 4), (4, 2)) == 5 * 3
+    with pytest.raises(DomainError):
+        count_partition_tuples((3, 3), (1,))
 
 
-def test_partition_tuple_length_is_sum_of_component_lengths():
+def test_partition_tuple_weights():
     pt = PartitionTuple([(3, 1), (2, 2, 1)])
-    assert pt.length == 5
     assert pt.weights == (4, 5)
-    assert pt.transpose() == PartitionTuple([(2, 1, 1), (3, 2)])
+    assert all(type(c) is Partition for c in pt)
+    with pytest.raises(DomainError):
+        PartitionTuple([(1, 2)])
 
 
 def test_splits_examples():

@@ -11,7 +11,6 @@ from isotypic import (
     OrbitSpec,
     Partition,
     PartitionTuple,
-    SkewShape,
     admissible_set,
     affine_multiplicity_bound,
     example_variety,
@@ -21,7 +20,6 @@ from isotypic import (
 def sample_records():
     params = BoundParams((3,), (1,), 1)
     return [
-        SkewShape((3, 1), (1,)),
         admissible_set(4, 1, 1),
         params,
         BoundParams((3, 2), (1, 2), 2, 4),
@@ -31,7 +29,6 @@ def sample_records():
 
 
 def test_positional_and_keyword_construction():
-    assert SkewShape((3, 1), (1,)) == SkewShape(outer=[3, 1], inner=[1]) == SkewShape((3, 1), inner=(1,))
     members = frozenset({Partition((2,))})
     assert AdmissibleSet((2,), (1,), (1,), members) == AdmissibleSet(
         weights=(2,), degrees=(1,), widths=(1,), members=members
@@ -51,15 +48,12 @@ def test_positional_and_keyword_construction():
     with pytest.raises(TypeError):
         BoundParams((3,), (1,))
     with pytest.raises(TypeError):
-        SkewShape((3,), (1,), (1,))
+        OrbitSpec(2, (), ())
     with pytest.raises(TypeError):
         BoundReport(6, "affine", params, colour="red")
 
 
 def test_normalisation():
-    shape = SkewShape([3, 1], [1])
-    assert type(shape.outer) is Partition and type(shape.inner) is Partition
-    assert shape.size == 3
     params = BoundParams([3, 2], [1, 2], 2)
     assert params.weights == (3, 2) and params.widths == (1, 2)
     assert type(params.weights) is tuple and type(params.widths) is tuple
@@ -71,7 +65,6 @@ def test_normalisation():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: SkewShape((2,), (3,)), "inner shape [3] does not fit inside [2]"),
         (lambda: BoundParams((3,), (1, 1), 1), "weights and widths must have equal arity"),
         (lambda: BoundParams((), (), 1), "at least one block is required"),
         (lambda: BoundParams((0,), (1,), 1), "weights and widths must be positive"),
@@ -104,7 +97,6 @@ def test_records_differ_by_any_field():
     params = BoundParams((3,), (1,), 1)
     assert BoundParams((3,), (1,), 1, 2) != params
     assert BoundReport(6, "affine", params) != BoundReport(6, "affine", params, excluded=True)
-    assert SkewShape((3, 1), (1,)) != SkewShape((3, 1), ())
     assert OrbitSpec(2, (("a", (2,)),)) != OrbitSpec(2, (("b", (2,)),))
 
 
@@ -124,7 +116,6 @@ def test_records_are_immutable(record):
 
 def test_repr_form():
     params = BoundParams([3, 2], [1, 2], 2)
-    assert repr(SkewShape((3, 1), (1,))) == "SkewShape(outer=Partition((3, 1)), inner=Partition((1,)))"
     assert repr(AdmissibleSet((3,), (1,), (1,), frozenset({Partition((3,))}))) == (
         "AdmissibleSet(weights=(3,), degrees=(1,), widths=(1,), "
         "members=frozenset({Partition((3,))}))"
