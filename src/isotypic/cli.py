@@ -184,6 +184,13 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    # orbit i contributes a Young module of min(i, k - i) + 1 terms
+    k = max(args.k, 0)
+    terms = (k // 2 + 1) * ((k + 1) // 2 + 1)
+    if terms > args.cap:
+        raise EnumerationCapExceeded(
+            f"H^0 of the example sums {terms} terms, above the cap of {args.cap}"
+        )
     spec = example_variety(args.k)
     h0 = h0_decomposition(spec)
     dec = top_cohomology(h0) if args.top else h0
@@ -247,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=bounds.DEFAULT_TERM_CAP,
-        help="refuse bound sums with more terms than this",
+        help="refuse bound sums and example H^0 sums with more terms than this",
     )
     parser.add_argument(
         "--workers",

@@ -4,6 +4,11 @@ A :class:`Decomposition` records a finite-dimensional module of a single
 symmetric group up to isomorphism, as a multiplicity map over irreducibles:
 its keys are :class:`Partition` values and its ambient is the weight they
 share.  All combinators return fresh values.
+
+Young modules and split modules are built forward by Pieri steps, and one
+unbounded cache, ``_split_module``, keeps each by its trivial and sign
+sides; a Young module is the split module with no sign side.  Callers
+share the cached values, which no combinator changes.
 """
 
 from __future__ import annotations
@@ -146,16 +151,14 @@ def irreducible(key: Sequence[int], mult: int = 1) -> Decomposition:
 def young_module(lam: Sequence[int]) -> Decomposition:
     """Module induced from the trivial representation of the Young subgroup.
 
-    Multiplicities are the Kostka numbers with content ``lam``.  Built by one
-    Pieri row step per part, largest part first: every shape a step reaches
-    has a nonzero multiplicity, so no partition of the weight is tried and
-    discarded.
+    Multiplicities are the Kostka numbers with content ``lam``.  It is the
+    split module with no sign side, so it is built once per ``lam`` and kept
+    in the split-module cache: a repeated ``lam`` (orbits ``i`` and ``k - i``
+    of ``orbits.example_variety`` share a stabilizer) is a lookup, and every
+    call returns the same value.  No combinator changes its argument, so the
+    shared value stays as built.
     """
-    lam = Partition(lam)
-    dec = Decomposition._from_valid({Partition(): 1}, 0)
-    for part in lam:
-        dec = pieri_row(dec, part)
-    return dec
+    return _split_module(Partition(lam), Partition())
 
 
 def pieri_row(dec: Decomposition, n: int) -> Decomposition:
@@ -199,9 +202,14 @@ def outer_product(d1: Decomposition, d2: Decomposition) -> Decomposition:
 
 @lru_cache(maxsize=None)
 def _split_module(triv: Partition, sign: Partition) -> Decomposition:
-    dec = young_module(triv)
+    # One Pieri step per part, forward from the empty shape: every shape a
+    # step reaches has a nonzero multiplicity, so no partition of the weight
+    # is tried and discarded.
+    dec = Decomposition._from_valid({Partition(): 1}, 0)
+    for p in triv:
+        dec = _pieri(dec, p, _horizontal_strips_above)
     for q in sign:
-        dec = pieri_col(dec, q)
+        dec = _pieri(dec, q, _vertical_strips_above)
     return dec
 
 
@@ -211,8 +219,9 @@ def split_module(triv: Sequence[int], sign: Sequence[int]) -> Decomposition:
     columns; associativity makes the order immaterial).
 
     The whole module, forward from the empty shape: the CLI's
-    ``split-module`` and the check path (``max_split_multiplicities``) use
-    it.  A single multiplicity is cheaper through ``split_multiplicity``.
+    ``split-module``, ``young_module`` (no sign side) and the check path
+    (``max_split_multiplicities``) use it, through one cache.  A single
+    multiplicity is cheaper through ``split_multiplicity``.
     """
     return _split_module(Partition(triv), Partition(sign))
 

@@ -228,7 +228,7 @@ def _parse_partition_at(text: str, i: int) -> tuple[Partition, int]:
         return Partition(), i + 1
     while True:
         start = i
-        while i < n and text[i].isdigit():
+        while i < n and text[i].isdecimal():
             i += 1
         if i == start:
             raise ParseError("expected integer", i)

@@ -3,10 +3,12 @@
 Kostka numbers and split multiplicities share one engine, the strip peel
 ``_peel``: it counts the ways to remove strips from a shape down to the
 empty one, a layer of shapes per strip.  Strips are enumerated by two
-loops over runs of equal rows, one adding a horizontal strip and one
-removing it; a vertical strip is the conjugate of a horizontal one, so the
-vertical enumerators transpose, run the horizontal loop and transpose back.
-No enumerator recurses, so tall and wide shapes cost no recursion depth.
+loops that scan the shape's runs of equal rows, one adding a horizontal
+strip and one removing it; each stops a shape as soon as its cells run out
+and copies the rows below as one slice.  A vertical strip is the conjugate
+of a horizontal one, so the vertical enumerators transpose, run the
+horizontal loop and transpose back.  No enumerator recurses, so tall and
+wide shapes cost no recursion depth.
 The four enumerators and the LR coefficients keep their results in
 unbounded caches keyed by canonical partition tuples; everything else
 ``_peel`` builds lives for one call.
@@ -14,7 +16,6 @@ unbounded caches keyed by canonical partition tuples; everything else
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import factorial
 from typing import Sequence
@@ -59,22 +60,30 @@ def _horizontal_strips_above(lam: Partition, n: int) -> tuple[Partition, ...]:
     # all (the rooms telescope), so every state kept ends in a shape.  Depth
     # first over runs, larger growth first, lists the shapes in descending
     # order; a shape is done once its cells run out, and the rows below are
-    # then copied from lam, so no state carries them.
-    runs = list(Counter(lam).items())
+    # then copied from lam, so no state carries them.  The growths are
+    # pushed by a plain loop: a generator with min and max took a third
+    # more time, and this loop is most of a Young module's cost.
+    length = len(lam)
     out: list[Partition] = []
-    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), n)]  # (run, rows, cells left)
+    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), n)]  # (row, rows, cells left)
+    push, pop = stack.append, stack.pop
     while stack:
-        r, rows, left = stack.pop()
+        i, rows, left = pop()
         if not left:
-            out.append(Partition._from_valid(rows + lam[len(rows):]))
-        elif r < len(runs):
-            part, count = runs[r]
-            room = runs[r - 1][0] - part if r else left
-            rest = (part,) * (count - 1)
-            stack.extend(
-                (r + 1, rows + (part + grow,) + rest, left - grow)
-                for grow in range(max(0, left - part), min(room, left) + 1)
-            )
+            out.append(Partition._from_valid(rows + lam[i:]))
+        elif i < length:
+            part = lam[i]
+            end = i + 1
+            while end < length and lam[end] == part:
+                end += 1
+            rest = lam[i + 1:end]
+            most = lam[i - 1] - part if i else left
+            if most > left:
+                most = left
+            grow = left - part if left > part else 0
+            while grow <= most:
+                push((end, rows + (part + grow,) + rest, left - grow))
+                grow += 1
         else:
             out.append(Partition._from_valid(rows + (left,)))
     return tuple(out)
@@ -85,20 +94,33 @@ def _horizontal_strips_below(mu: Partition, n: int) -> tuple[Partition, ...]:
     # A horizontal strip takes at most one cell per column, so in a run of
     # equal rows only the lowest row can lose cells, down to the next
     # shorter part.  Below a run whose next part is q, the later runs can
-    # give up q cells in all (the differences of the parts telescope).  The
-    # loop runs over runs, so tall shapes cost no recursion depth; taking
-    # fewer cells from higher runs first lists the shapes in descending order.
-    runs = list(Counter(mu).items())
-    shapes: list[tuple[tuple[int, ...], int]] = [((), n)]  # (rows, cells left)
-    for i, (part, count) in enumerate(runs):
-        nxt = runs[i + 1][0] if i + 1 < len(runs) else 0
-        keep = (part,) * (count - 1)
-        shapes = [
-            (rows + keep + ((part - take,) if take < part else ()), left - take)
-            for rows, left in shapes
-            for take in range(max(0, left - nxt), min(part - nxt, left) + 1)
-        ]
-    return tuple(Partition._from_valid(rows) for rows, left in shapes if not left)
+    # give up q cells in all (the differences of the parts telescope), so
+    # every state kept ends in a shape.  Depth first over runs, fewer cells
+    # from higher runs first, lists the shapes in descending order; a shape
+    # is done once its cells run out, and the rows below are then copied
+    # from mu.  Only the empty shape, asked for a nonempty strip, runs out
+    # of rows with cells left, and it has no strip to give.
+    length = len(mu)
+    out: list[Partition] = []
+    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), n)]  # (row, rows, cells left)
+    push, pop = stack.append, stack.pop
+    while stack:
+        i, rows, left = pop()
+        if not left:
+            out.append(Partition._from_valid(rows + mu[i:]))
+        elif i < length:
+            part = mu[i]
+            end = i + 1
+            while end < length and mu[end] == part:
+                end += 1
+            nxt = mu[end] if end < length else 0
+            keep = rows + mu[i:end - 1]
+            take = part - nxt if part - nxt < left else left
+            least = left - nxt if left > nxt else 0
+            while take >= least:
+                push((end, keep + ((part - take,) if take < part else ()), left - take))
+                take -= 1
+    return tuple(out)
 
 
 # A vertical strip is the conjugate of a horizontal one (tensoring with the

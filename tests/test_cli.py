@@ -190,6 +190,26 @@ def test_exit_codes(capsys):
     assert exit_info.value.code == 2
 
 
+def test_partition_parts_take_the_digits_int_reads(capsys):
+    # a superscript two is a digit to str.isdigit but not to int()
+    code, out, err = run_cli(capsys, "dim", "[²]")
+    assert (code, out, err) == (2, "", "parse error: expected integer at position 1\n")
+    # an Arabic-Indic three is a decimal digit, and int() reads it
+    code, out, err = run_cli(capsys, "dim", "[٣]")
+    assert (code, out, err) == (0, "1\n", "")
+
+
+def test_example_counts_its_terms_before_building(capsys):
+    # H^0 of the example on k letters sums (k//2 + 1) * (k - k//2 + 1) terms
+    code, out, _ = run_cli(capsys, "--cap", "6", "example", "3")
+    assert code == 0 and out.strip() == "4*[3] + 2*[2,1]"
+    for argv in (("--cap", "5", "example", "3"), ("example", HUGE)):
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, "--format", fmt, *argv)
+            assert code == 4 and out == ""
+            assert err.startswith("cap exceeded: H^0 of the example sums")
+
+
 HUGE = "99999999999999999999"
 TOO_LARGE_TO_INDEX = [
     ("dim", f"[{HUGE}]"),

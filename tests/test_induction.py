@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 from isotypic import (
     Decomposition,
     DomainError,
+    OrbitSpec,
     Partition,
     enumerate_partitions,
+    h0_decomposition,
     irreducible,
     kostka,
     max_split_multiplicities,
@@ -94,6 +96,23 @@ def test_young_module_dimension():
             for part in lam:
                 expected //= factorial(part)
             assert young_module(lam).total_dim() == expected
+
+
+def test_young_module_is_built_once_and_left_as_built():
+    lam = (4, 4, 4, 2, 2, 1, 1, 1, 1, 1, 1)
+    dec = young_module(lam)
+    assert len(dec) == 786
+    assert dec.total_dim() == factorial(22) // (factorial(4) ** 3 * factorial(2) ** 2)
+    # a repeated Young module is a lookup in the split-module cache
+    assert young_module(Partition(lam)) is dec
+    assert split_module(lam, ()) is dec
+    # callers share the value, and none of the combinators changes it
+    spec = OrbitSpec(22, (("a", lam), ("b", lam)))
+    assert h0_decomposition(spec) == dec + dec
+    assert sign_twist(sign_twist(dec)) == dec
+    assert dec == Decomposition(
+        {mu: kostka(mu, lam) for mu in enumerate_partitions(22)}, ambient=22
+    )
 
 
 def test_pieri_row_examples():

@@ -186,9 +186,11 @@ def test_strip_extensions_and_restrictions_are_inverse():
 
 
 def test_strip_enumerations_are_complete():
-    for k in range(0, 6):
+    # the loops over runs of equal rows list exactly the shapes above by a
+    # strip, in the canonical descending order
+    for k in range(0, 9):
         for lam in enumerate_partitions(k):
-            for n in range(0, 4):
+            for n in range(0, k + 2):
                 horiz = list(_horizontal_strips_above(lam, n))
                 vert = list(_vertical_strips_above(lam, n))
                 assert horiz == sorted(set(horiz), reverse=True)
