@@ -6,7 +6,10 @@ irreducibles in the split module.  It has a closed form:
 
     I(k, d, m) = { mu |- k : mu_{a+1} <= T - a for some 0 <= a <= T },
 
-the union of the (a, T - a) hooks, tested in O(T) per partition.  Proof in
+the union of the (a, T - a) hooks, tested in O(T) per partition.  The
+least partition outside that union is the staircase (T+1, T, ..., 1), so
+below its weight (T+1)(T+2)/2 every partition of k is admissible and
+``admissible_set`` runs no test at all.  Proof in
 three steps.  The partitions of length at most T and their splits give
 every pair (alpha, beta) with l(alpha) + l(beta) <= T, and the split module
 of (alpha, beta) is the induction product of the Young module M^alpha and
@@ -103,8 +106,12 @@ def admissible_set(k: int, d: int, m: int) -> AdmissibleSet:
     if k < 0:
         raise DomainError("weight must be nonnegative")
     t = restriction_threshold(d, m)
-    members = frozenset(mu for mu in enumerate_partitions(k) if _in_hook_union(mu, t))
-    return AdmissibleSet((k,), (d,), (m,), members)
+    members = enumerate_partitions(k)
+    # the least shape outside the hook union is the staircase
+    # (t+1, t, ..., 1); below its weight every partition is a member
+    if 2 * k >= (t + 1) * (t + 2):
+        members = [mu for mu in members if _in_hook_union(mu, t)]
+    return AdmissibleSet((k,), (d,), (m,), frozenset(members))
 
 
 def is_admissible(mu: Sequence[int], d: int, m: int) -> bool:

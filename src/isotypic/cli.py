@@ -33,6 +33,7 @@ from .orbits import (
     verify_power_identity,
 )
 from .partitions import (
+    _more_partitions_than,
     enumerate_partitions,
     parse_partition,
     parse_partition_tuple,
@@ -66,8 +67,13 @@ def _emit(args, json_obj, text_lines: list[str]) -> None:
 
 
 def _cmd_partitions(args) -> int:
-    parts = enumerate_partitions(args.k, args.max_len)
-    _emit(args, [str(p) for p in parts], [str(p) for p in parts])
+    if _more_partitions_than(args.k, args.max_len, args.cap):
+        rows = "" if args.max_len is None else f" into at most {args.max_len} parts"
+        raise EnumerationCapExceeded(
+            f"{args.k} has more partitions{rows} than the cap of {args.cap}"
+        )
+    texts = [str(p) for p in enumerate_partitions(args.k, args.max_len)]
+    _emit(args, texts, texts)
     return EXIT_OK
 
 
@@ -86,11 +92,30 @@ _QUERIES = (
 )
 
 
-def _cmd_query(args) -> int:
-    value = args.query(*[parse_partition(getattr(args, name)) for name in args.query_args])
+def _parse_query_args(args) -> list:
+    return [parse_partition(getattr(args, name)) for name in args.query_args]
+
+
+def _answer(args, value) -> int:
     json_obj = {"value": str(value)} if isinstance(value, int) else value.to_json_dict()
     _emit(args, json_obj, [str(value)])
     return EXIT_OK
+
+
+def _cmd_query(args) -> int:
+    return _answer(args, args.query(*_parse_query_args(args)))
+
+
+def _cmd_lr(args) -> int:
+    # the tableau fill lists the skew cells of nu/lam before it places any;
+    # inputs it would not fill (unequal weights, lam outside nu) pass through
+    nu, lam, mu = _parse_query_args(args)
+    cells = nu.weight - lam.weight
+    if cells > args.cap and cells == mu.weight and nu.contains(lam):
+        raise EnumerationCapExceeded(
+            f"nu/lam has {cells} skew cells, above the cap of {args.cap}"
+        )
+    return _answer(args, args.query(nu, lam, mu))
 
 
 def _refuse_iset_enumeration(k: int, d: int, m: int) -> None:
@@ -254,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=bounds.DEFAULT_TERM_CAP,
-        help="refuse bound sums and example H^0 sums with more terms than this",
+        help="refuse bound sums and example H^0 sums with more terms, partitions "
+        "listings with more partitions, and lr skew shapes with more cells than this",
     )
     parser.add_argument(
         "--workers",
@@ -273,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for arg in query_args:
             p.add_argument(arg)
-        p.set_defaults(handler=_cmd_query, query=query, query_args=query_args)
+        handler = _cmd_lr if name == "lr" else _cmd_query
+        p.set_defaults(handler=handler, query=query, query_args=query_args)
 
     p = sub.add_parser("iset", help="admissible set I(k, d, m)")
     p.add_argument("k", type=int)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ParseError
 
@@ -102,24 +103,12 @@ class PartitionTuple(tuple):
         return f"PartitionTuple({tuple(tuple(c) for c in self)!r})"
 
 
-def _partitions(k: int, max_length: int) -> list[Partition]:
-    out: list[Partition] = []
-
-    def rec(remaining: int, max_part: int, rows_left: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(Partition._from_valid(tuple(prefix)))
-            return
-        if rows_left == 0:
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            if remaining - part > part * (rows_left - 1):
-                break  # parts only get smaller from here; nothing below fits
-            prefix.append(part)
-            rec(remaining - part, part, rows_left - 1, prefix)
-            prefix.pop()
-
-    rec(k, k, max_length, [])
-    return out
+def _row_bound(k: int, max_length: int | None) -> int:
+    if k < 0:
+        raise DomainError("cannot partition a negative integer")
+    if max_length is not None and max_length < 1:
+        raise DomainError("max_length must be a positive integer")
+    return k if max_length is None else min(max_length, k)
 
 
 def enumerate_partitions(k: int, max_length: int | None = None) -> list[Partition]:
@@ -128,27 +117,64 @@ def enumerate_partitions(k: int, max_length: int | None = None) -> list[Partitio
     Returned in canonical order: reverse-lexicographic on part sequences,
     so ``(4) > (3,1) > (2,2) > (2,1,1) > (1,1,1,1)``.
     """
-    if k < 0:
-        raise DomainError("cannot partition a negative integer")
-    if max_length is not None and max_length < 1:
-        raise DomainError("max_length must be a positive integer")
-    cap = k if max_length is None else min(max_length, k)
-    return _partitions(k, cap)
+    max_rows = _row_bound(k, max_length)
+    if k == 0:
+        return [Partition()]
+    # The successor loop of Zoghbi and Stojmenovic (ZS1, 1998), in place.
+    # The parts above 1 are kept in ``big`` and the trailing ones as a
+    # count.  A step lowers the last part above 1 by one and lays the freed
+    # cells out again in parts as large as the lowered part: the next
+    # partition in reverse-lexicographic order.  That layout has the fewest
+    # rows of any partition with this prefix, and lowering the part further
+    # only adds rows; so when it has more than ``max_rows`` rows, the lowered
+    # part and everything after it fold back into ones, and the next step
+    # lowers the part before it.
+    new = tuple.__new__
+    big = [k] if k > 1 else []
+    ones = 0 if big else 1
+    out = [new(Partition, (k,))]
+    while big:
+        part = big.pop() - 1
+        cells = part + 1 + ones
+        if part == 1:
+            ones = cells
+            if len(big) + cells > max_rows:
+                continue
+        else:
+            rows, rest = divmod(cells, part)
+            if len(big) + rows + (rest > 0) > max_rows:
+                ones = cells
+                continue
+            big += [part] * rows
+            if rest > 1:
+                big.append(rest)
+                ones = 0
+            else:
+                ones = rest
+        out.append(new(Partition, big + [1] * ones))
+    return out
+
+
+def _row_counts(n: int) -> Iterator[int]:
+    # yields p(n, <= j), the partitions of n into at most j parts, for
+    # j = 0, 1, 2, ...  By conjugation these are the partitions of n into
+    # parts of size at most j, counted by adding one allowed part size at
+    # a time to a table over 0..n; a loop, so no recursion depth grows
+    # with n.
+    ways = [1] + [0] * n
+    yield ways[n]
+    size = 0
+    while True:
+        size += 1
+        for total in range(size, n + 1):
+            ways[total] += ways[total - size]
+        yield ways[n]
 
 
 @lru_cache(maxsize=1024)
 def _count_at_most(n: int, length: int) -> tuple[int, ...]:
-    # entry j: partitions of n into at most j parts, for j = 0..length.  By
-    # conjugation these are the partitions of n into parts of size at most
-    # j, counted by adding one allowed part size at a time to a table over
-    # 0..n; a loop, so no recursion depth grows with n.
-    ways = [1] + [0] * n
-    counts = [ways[n]]
-    for size in range(1, length + 1):
-        for total in range(size, n + 1):
-            ways[total] += ways[total - size]
-        counts.append(ways[n])
-    return tuple(counts)
+    # entry j: partitions of n into at most j parts, for j = 0..length
+    return tuple(islice(_row_counts(n), length + 1))
 
 
 def count_partitions(k: int, max_length: int | None = None) -> int:
@@ -156,6 +182,23 @@ def count_partitions(k: int, max_length: int | None = None) -> int:
     if k < 0:
         raise DomainError("cannot partition a negative integer")
     return _count_at_most(k, k if max_length is None else min(max_length, k))[-1]
+
+
+def _more_partitions_than(k: int, max_length: int | None, cap: int) -> bool:
+    """Whether card(Par(k, max_length)) exceeds ``cap``, at any size of k.
+
+    Checked before anything is enumerated: closed forms answer at most two
+    and three parts, and p(k, <= 3) = round((k + 3)^2 / 12) bounds every
+    longer count from below; past it the count table has about
+    sqrt(12 cap) entries and stops at the first row count above ``cap``.
+    """
+    rows = _row_bound(k, max_length)
+    if rows <= 2:
+        return (k // 2 + 1 if rows == 2 else 1) > cap
+    three = ((k + 3) ** 2 + 6) // 12
+    if rows == 3 or three > cap:
+        return three > cap
+    return any(n > cap for n in islice(_row_counts(k), 4, rows + 1))
 
 
 def dominates(mu: Sequence[int], lam: Sequence[int]) -> bool:

@@ -224,6 +224,17 @@ def test_everything_below_the_staircase_weight_is_admissible_at_threshold_8():
     assert len(admissible_set(44, 1, 3)) == count_partitions(44)
 
 
+@pytest.mark.parametrize("d,m", [(1, 1), (2, 1)])
+def test_the_staircase_is_the_only_nonmember_at_its_weight(d, m):
+    # admissible_set tests no partition below the staircase weight, and
+    # from that weight on the tests leave out exactly the staircase first
+    t = restriction_threshold(d, m)
+    weight = (t + 1) * (t + 2) // 2
+    assert admissible_set(weight - 1, d, m).members == set(enumerate_partitions(weight - 1))
+    left_out = set(enumerate_partitions(weight)) - admissible_set(weight, d, m).members
+    assert left_out == {staircase(t)}
+
+
 def test_membership_at_large_weight_needs_no_enumeration():
     # Par(200) has about 4e12 members, so only a direct test can answer
     start = time.perf_counter()

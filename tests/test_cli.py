@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -228,6 +229,62 @@ def test_values_too_large_to_index_are_domain_errors(capsys, argv):
         assert code == 3 and out == ""
         assert err.startswith("domain error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+def test_partitions_output_is_unchanged(capsys):
+    six = ["[6]", "[5,1]", "[4,2]", "[4,1,1]", "[3,3]", "[3,2,1]", "[3,1,1,1]",
+           "[2,2,2]", "[2,2,1,1]", "[2,1,1,1,1]", "[1,1,1,1,1,1]"]
+    # at most three parts a >= b >= c, largest first part and then largest
+    # second part first
+    fifty_in_three = [
+        "[" + ",".join(str(p) for p in (a, b, 50 - a - b) if p) + "]"
+        for a in range(50, 16, -1)
+        for b in range(min(a, 50 - a), (51 - a) // 2 - 1, -1)
+    ]
+    assert len(fifty_in_three) == 234
+    for argv, expected in ((("partitions", "6"), six),
+                           (("partitions", "50", "--max-len", "3"), fifty_in_three)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out.splitlines(), err) == (0, expected, "")
+        code, out, err = run_cli(capsys, "--format", "json", *argv)
+        assert (code, json.loads(out), err) == (0, expected, "")
+
+
+COUNTED_BEFORE_STARTING = [
+    ("partitions", "77"),  # p(77) = 10,619,863
+    ("partitions", "80"),
+    ("partitions", HUGE),
+    ("partitions", HUGE, "--max-len", "3"),
+    ("partitions", "1000000000", "--max-len", "2"),
+    ("partitions", "10950", "--max-len", "100"),
+    ("--cap", "10", "partitions", "6"),
+    ("lr", f"[{HUGE}]", "[]", f"[{HUGE}]"),
+    ("lr", "[10000001]", "[]", "[10000001]"),
+    ("--cap", "5", "lr", "[3,3]", "[]", "[3,3]"),
+]
+
+
+@pytest.mark.parametrize("argv", COUNTED_BEFORE_STARTING)
+def test_partitions_and_lr_count_their_work_before_starting(capsys, argv):
+    start = time.perf_counter()
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "--format", fmt, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("cap exceeded:") and len(err.splitlines()) == 1
+    assert time.perf_counter() - start < 1
+
+
+def test_work_counts_leave_other_answers_alone(capsys):
+    # at the cap, answered; invalid inputs keep their own exit codes
+    assert run_cli(capsys, "--cap", "11", "partitions", "6")[0] == 0
+    assert run_cli(capsys, "--cap", "6", "lr", "[3,3]", "[]", "[3,3]")[:2] == (0, "1\n")
+    assert run_cli(capsys, "partitions", HUGE, "--max-len", "1")[:2] == (0, f"[{HUGE}]\n")
+    # lam outside nu: nothing to fill, whatever the skew size
+    assert run_cli(capsys, "lr", f"[{HUGE},1]", "[2,2]", f"[{int(HUGE) - 3}]")[:2] == (0, "0\n")
+    for argv in (("partitions", "-1"), ("partitions", HUGE, "--max-len", "0"),
+                 ("lr", f"[{HUGE}]", "[]", "[1]")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and err.startswith("domain error:")
 
 
 # The interpreter refuses to convert ints of more than 4,300 digits to and

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from itertools import product
 
@@ -17,6 +18,7 @@ from isotypic import (
     parse_partition_tuple,
     splits,
 )
+from isotypic.partitions import _more_partitions_than
 
 
 @st.composite
@@ -54,6 +56,59 @@ def test_partition_validation():
     assert Partition() == ()
     assert Partition((3, 1)).weight == 4
     assert Partition((3, 1)).length == 2
+
+
+def descending_partitions(k):
+    """Independent enumeration: largest part first, in canonical order."""
+    def rec(remaining, max_part):
+        if remaining == 0:
+            yield ()
+        for part in range(min(remaining, max_part), 0, -1):
+            for rest in rec(remaining - part, part):
+                yield (part,) + rest
+
+    return list(rec(k, k))
+
+
+def test_successor_loop_matches_a_recursive_generator():
+    for k in range(0, 31):
+        expected = descending_partitions(k)
+        full = enumerate_partitions(k)
+        assert full == expected
+        assert all(type(p) is Partition for p in full)
+        for cap in range(1, k + 2):
+            got = enumerate_partitions(k, cap)
+            assert got == [p for p in expected if len(p) <= cap]
+            assert len(got) == count_partitions(k, cap)
+
+
+def test_a_tight_length_cap_skips_the_long_partitions():
+    # the fold lowers the part before a layout that has too many rows, so
+    # two rows at weight 200 take 101 steps, not one per partition of 200
+    start = time.perf_counter()
+    two_rows = enumerate_partitions(200, 2)
+    assert len(two_rows) == 101
+    assert two_rows == [(200 - b, b) if b else (200,) for b in range(101)]
+    assert len(enumerate_partitions(200, 3)) == count_partitions(200, 3) == 3434
+    assert time.perf_counter() - start < 0.5
+
+
+def test_more_partitions_than_the_cap():
+    for k in range(0, 25):
+        for max_length in [None, *range(1, k + 2)]:
+            n = count_partitions(k, max_length)
+            for cap in (1, n - 1, n, n + 1):
+                assert _more_partitions_than(k, max_length, cap) == (n > cap)
+    # the closed forms answer at any size, with no table over 0..k
+    huge = 10 ** 20
+    assert _more_partitions_than(huge, None, 10 ** 7)
+    assert _more_partitions_than(huge, 2, huge // 2)
+    assert not _more_partitions_than(huge, 2, huge // 2 + 1)
+    assert not _more_partitions_than(huge, 1, 1)
+    with pytest.raises(DomainError):
+        _more_partitions_than(-1, None, 10)
+    with pytest.raises(DomainError):
+        _more_partitions_than(5, 0, 10)
 
 
 def test_enumeration_matches_brute_force():
