@@ -4,16 +4,17 @@ The admissible set I(k, d, m) is the union, over all partitions of k with
 at most T = (2d)^m parts and over every split of such a partition, of the
 irreducibles in the split module.  It has a closed form:
 
-    I(k, d, m) = { mu |- k : mu_{a+1} <= T - a for some 0 <= a <= T },
+    I(k, d, m) = { mu |- k : s(mu) <= T },
 
-the union of the (a, T - a) hooks, tested in O(T) per partition.  The
-least partition outside that union is the staircase (T+1, T, ..., 1), so
-below its weight (T+1)(T+2)/2 every partition of k is admissible and
-``admissible_set`` runs no test at all.  Proof in
-three steps.  The partitions of length at most T and their splits give
-every pair (alpha, beta) with l(alpha) + l(beta) <= T, and the split module
-of (alpha, beta) is the induction product of the Young module M^alpha and
-the sign twist of M^beta.
+where the staircase index s(mu) = min over a >= 0 of (a + mu_{a+1}) is the
+size r of the largest staircase (r, r-1, ..., 1) inside mu.  Membership is
+one comparison with s, found in O(s) steps.  The least partition outside
+I(k, d, m) is the staircase (T+1, T, ..., 1), so below its weight
+(T+1)(T+2)/2 every partition of k is admissible and ``admissible_set`` runs
+no test at all.  Proof in three steps.  The partitions of length at most T
+and their splits give every pair (alpha, beta) with l(alpha) + l(beta) <= T,
+and the split module of (alpha, beta) is the induction product of the Young
+module M^alpha and the sign twist of M^beta.
 
 1. Young's rule: M^alpha contains S^nu exactly when nu dominates alpha.
 2. Balanced partition: every nu |- p with l(nu) <= a dominates the
@@ -23,7 +24,8 @@ the sign twist of M^beta.
    with b rows exactly the rho with rho_1 <= b.
 3. Berele-Regev (hook Schur functions, Adv. Math. 1987): the LR products
    S^nu . S^rho with l(nu) <= a and rho_1 <= b reach exactly the mu with
-   mu_{a+1} <= b.  Taking b = T - a, the largest allowed, gives the union.
+   mu_{a+1} <= b.  Taking b = T - a, the largest allowed, the union over a
+   is the set of mu with a + mu_{a+1} <= T for some a, that is s(mu) <= T.
 
 The per-partition reachable sets have no closed form; the supports of
 ``induction.max_split_multiplicities``, built from the forward Pieri
@@ -47,46 +49,37 @@ def restriction_threshold(d: int, m: int) -> int:
     return (2 * d) ** m
 
 
-def fits_in_corner(mu: Sequence[int], threshold: int) -> bool:
-    """True iff the diagram lies in the union of ``threshold`` rows and
-    ``threshold`` columns, i.e. contains no (threshold+1)-square.
-
-    Equivalently: at most ``threshold`` rows are longer than ``threshold``,
-    and, symmetrically, at most ``threshold`` columns are taller.
-    """
-    mu = Partition(mu)
-    return mu.part(threshold) <= threshold
-
-
 def restriction_check(mu: Sequence[int], d: int, m: int) -> bool:
-    """Necessary condition for membership in the admissible set at (d, m)."""
-    return fits_in_corner(mu, restriction_threshold(d, m))
+    """Necessary condition for membership in the admissible set at (d, m):
+    the diagram contains no (T+1)-square, T = (2d)^m, so it lies in the
+    union of T rows and T columns."""
+    t = restriction_threshold(d, m)
+    return Partition(mu).part(t) <= t
 
 
-def _in_hook_union(mu: Partition, t: int) -> bool:
-    # mu lies in the (a, t - a) hook for some a: the closed form above
-    return any(mu.part(a) <= t - a for a in range(t + 1))
+def _staircase(mu: Sequence[int]) -> int:
+    # s(mu) = min over a of (a + mu_{a+1}); a row index at or past the best
+    # value so far cannot lower it, so the loop stops there
+    best = len(mu)
+    for a, part in enumerate(mu):
+        if a >= best:
+            break
+        if a + part < best:
+            best = a + part
+    return best
 
 
 class AdmissibleSet(Record):
-    """An admissible set together with the parameters that produced it."""
+    """The admissible set I(k, d, m) together with its parameters."""
 
-    __slots__ = ("weights", "degrees", "widths", "members")
+    __slots__ = ("k", "d", "m", "members")
 
-    def __init__(
-        self,
-        weights: tuple[int, ...],
-        degrees: tuple[int, ...],
-        widths: tuple[int, ...],
-        members: frozenset,
-    ):
-        self._set(weights, degrees, widths, members)
+    def __init__(self, k: int, d: int, m: int, members: frozenset):
+        self._set(k, d, m, members)
 
     @property
-    def thresholds(self) -> tuple[int, ...]:
-        return tuple(
-            restriction_threshold(d, m) for d, m in zip(self.degrees, self.widths)
-        )
+    def threshold(self) -> int:
+        return restriction_threshold(self.d, self.m)
 
     def __contains__(self, mu) -> bool:
         try:
@@ -107,13 +100,13 @@ def admissible_set(k: int, d: int, m: int) -> AdmissibleSet:
         raise DomainError("weight must be nonnegative")
     t = restriction_threshold(d, m)
     members = enumerate_partitions(k)
-    # the least shape outside the hook union is the staircase
-    # (t+1, t, ..., 1); below its weight every partition is a member
+    # below the weight of the staircase (t+1, t, ..., 1) every partition is
+    # a member
     if 2 * k >= (t + 1) * (t + 2):
-        members = [mu for mu in members if _in_hook_union(mu, t)]
-    return AdmissibleSet((k,), (d,), (m,), frozenset(members))
+        members = [mu for mu in members if _staircase(mu) <= t]
+    return AdmissibleSet(k, d, m, frozenset(members))
 
 
 def is_admissible(mu: Sequence[int], d: int, m: int) -> bool:
     """Exact membership test for a single partition, without building the set."""
-    return _in_hook_union(Partition(mu), restriction_threshold(d, m))
+    return _staircase(Partition(mu)) <= restriction_threshold(d, m)

@@ -19,10 +19,12 @@ steps.  Parts never increase along a sequence, and at equal parts the
 horizontal side comes first, so each split of each ``lambda`` is one
 sequence.  A prefix's layer of peeled shapes is built once and shared by
 every sequence that extends it; a shape that no remaining number of strips
-can empty (it lies outside the hook union of the room left, the closed form
-of ``admissible``) is dropped, and a prefix whose layer is empty is not
-extended.  The last strip is counted in closed form: what remains must be a
-single row or a single column.  The walk keeps its pending prefixes on an
+can empty is dropped, and a prefix whose layer is empty is not extended.
+By the closed form of ``admissible``, the shapes that r more strips can
+empty are those with staircase index s(rho) <= r, and the targets with a
+nonzero affine value are those with s(mu) <= T in every block.  The last
+strip is counted in closed form: what remains must be a single row or a
+single column.  The walk keeps its pending prefixes on an
 explicit stack, so its depth, at most ``min(t, k)`` parts, uses no
 recursion.  In the equivariant and projection sums every split factor is 1,
 and a block sum is a closed form in the counts of partitions by length: the
@@ -34,8 +36,9 @@ semi-algebraic bound is a binomial prefactor times its value, and the complex
 bound is its value at doubled widths.
 
 Evaluation refuses to start when the paper's sum has more lambda-terms than
-the cap; the terms are counted, not enumerated.  The ``workers`` keyword is
-accepted for compatibility and has no effect.
+the cap; the terms are counted block by block, not enumerated, and a count
+that passes the cap stops before its table is built.  The ``workers``
+keyword is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -43,13 +46,13 @@ from __future__ import annotations
 from math import comb, prod
 from typing import Sequence
 
-from .admissible import _in_hook_union, fits_in_corner, restriction_threshold
+from .admissible import _staircase, restriction_threshold
 from .errors import DomainError, EnumerationCapExceeded
 from .partitions import (
     Partition,
     PartitionTuple,
     _count_at_most,
-    count_partition_tuples,
+    _more_partitions_than,
     count_partitions,
     splits,
 )
@@ -144,11 +147,13 @@ def _coerce_target(mu, params: BoundParams) -> PartitionTuple:
 
 
 def _check_term_cap(weights, thresholds, cap: int) -> None:
-    total = count_partition_tuples(weights, thresholds)
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"bound sum has {total} terms, above the cap of {cap}"
-        )
+    # block by block: a block that alone leaves the product above the cap
+    # is refused before its exact count table is built
+    total = 1
+    for k, t in zip(weights, thresholds):
+        if _more_partitions_than(k, t, cap // total):
+            raise EnumerationCapExceeded(f"bound sum has more terms than the cap of {cap}")
+        total *= count_partitions(k, t)
 
 
 def _block_sum(mu: Partition, t: int, base: int) -> int:
@@ -163,10 +168,10 @@ def _block_sum(mu: Partition, t: int, base: int) -> int:
         room = t - len(parts)
         if step is not None:
             table = _peel_step(table, *step)
-            # the least shape outside the hook union of room is the
+            # the least shape that room strips cannot empty is the
             # staircase (room+1, room, ..., 1); a lighter layer needs no test
             if 2 * left >= (room + 1) * (room + 2):
-                table = {rho: n for rho, n in table.items() if _in_hook_union(rho, room)}
+                table = {rho: n for rho, n in table.items() if _staircase(rho) <= room}
             if not table:
                 continue
         for size in range(min(left, parts[-1] if parts else left), 0, -1):
@@ -229,12 +234,13 @@ def affine_multiplicity_bound(
     real affine variety of the given degree and block structure.
 
     A target outside the admissible set gets value 0 with the excluded flag;
-    that is exact, since every summand vanishes there.
+    that is exact, since every summand vanishes there, and it is answered
+    before the terms are counted.
     """
     mu_tuple = _coerce_target(mu, params)
     thresholds = params.thresholds
     value = 0
-    if all(fits_in_corner(c, t) for c, t in zip(mu_tuple, thresholds)):
+    if all(_staircase(c) <= t for c, t in zip(mu_tuple, thresholds)):
         _check_term_cap(params.weights, thresholds, cap)
         value = 1
         for c, k, t, m in zip(mu_tuple, params.weights, thresholds, params.widths):
@@ -291,18 +297,6 @@ def sa_multiplicity_bound(
     return BoundReport(value, "semialgebraic", params, affine.target, affine.excluded, _POLY_NOTE)
 
 
-def _member_of_admissible_tuple(
-    mu_tuple: PartitionTuple,
-    weights: tuple[int, ...],
-    thresholds: tuple[int, ...],
-    cap: int,
-) -> bool:
-    if not all(fits_in_corner(c, t) for c, t in zip(mu_tuple, thresholds)):
-        return False
-    _check_term_cap(weights, thresholds, cap)
-    return all(_in_hook_union(mu, t) for mu, t in zip(mu_tuple, thresholds))
-
-
 def complex_multiplicity_bound(
     mu,
     params: BoundParams,
@@ -317,15 +311,13 @@ def complex_multiplicity_bound(
     width, so the value is ``affine_multiplicity_bound`` at widths ``2m``.
     A zero value is excluded only if the target also lies outside the
     admissible set with both degree and widths doubled, which contains the
-    reduction's set.
+    reduction's set: some block has s(mu) > (4d)^(2m).
     """
     doubled = BoundParams(params.weights, [2 * m for m in params.widths], params.degree)
     affine = affine_multiplicity_bound(mu, doubled, cap=cap)
-    exclusion_thresholds = tuple(
-        restriction_threshold(2 * params.degree, 2 * m) for m in params.widths
-    )
-    excluded = affine.excluded and not _member_of_admissible_tuple(
-        affine.target, params.weights, exclusion_thresholds, cap
+    excluded = affine.excluded and any(
+        _staircase(c) > restriction_threshold(2 * params.degree, 2 * m)
+        for c, m in zip(affine.target, params.widths)
     )
     return BoundReport(
         affine.value, "complex-affine", params, affine.target, excluded, _POLY_NOTE
@@ -418,12 +410,14 @@ def projection_image_bound(
     if k < 1 or m < 1 or d < 1:
         raise DomainError("projection bound needs positive k, m, d")
     fiber_threshold = restriction_threshold(d, m)
-    total_terms = sum(
+    # T >= 2, so fiber weight n has at least n // 2 + 1 terms, and the k
+    # fiber weights at least k + k*k // 4 together: that closed form is
+    # checked before any count table is built
+    if k + k * k // 4 > cap or sum(
         count_partitions(p + 1, min(fiber_threshold, p + 1)) for p in range(k)
-    )
-    if total_terms > cap:
+    ) > cap:
         raise EnumerationCapExceeded(
-            f"projection bound sums {total_terms} terms, above the cap of {cap}"
+            f"projection bound sums more terms than the cap of {cap}"
         )
     fiber_base = (2 * d) ** m
     value = (2 * d) ** k * sum(

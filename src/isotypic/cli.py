@@ -14,12 +14,7 @@ import sys
 from typing import Sequence
 
 from . import bounds
-from .admissible import (
-    admissible_set,
-    is_admissible,
-    restriction_check,
-    restriction_threshold,
-)
+from .admissible import admissible_set, is_admissible, restriction_threshold
 from .errors import DomainError, EnumerationCapExceeded, ParseError
 from .induction import split_module, split_multiplicity, young_module
 from .orbits import (
@@ -118,15 +113,6 @@ def _cmd_lr(args) -> int:
     return _answer(args, args.query(nu, lam, mu))
 
 
-def _refuse_iset_enumeration(k: int, d: int, m: int) -> None:
-    t = restriction_threshold(d, m)
-    raise EnumerationCapExceeded(
-        f"exact enumeration is capped at k <= {ISET_ENUMERATION_MAX_K} (got k={k}); "
-        f"outer bound from the restriction test: every member fits inside the union "
-        f"of {t} rows and {t} columns (threshold (2d)^m = {t})"
-    )
-
-
 def _cmd_iset(args) -> int:
     k, d, m = args.k, args.d, args.m
     if d < 1 or m < 1:
@@ -135,10 +121,6 @@ def _cmd_iset(args) -> int:
         mu = parse_partition(args.member)
         if mu.weight != k:
             raise DomainError(f"{mu} does not partition {k}")
-        # a member fits in the corner, so a target that does not is answered
-        # above the cutoff too
-        if k > ISET_ENUMERATION_MAX_K and restriction_check(mu, d, m):
-            _refuse_iset_enumeration(k, d, m)
         verdict = is_admissible(mu, d, m)
         _emit(
             args,
@@ -147,7 +129,12 @@ def _cmd_iset(args) -> int:
         )
         return EXIT_OK
     if k > ISET_ENUMERATION_MAX_K:
-        _refuse_iset_enumeration(k, d, m)
+        t = restriction_threshold(d, m)
+        raise EnumerationCapExceeded(
+            f"exact enumeration is capped at k <= {ISET_ENUMERATION_MAX_K} (got k={k}); "
+            f"outer bound from the restriction test: every member fits inside the union "
+            f"of {t} rows and {t} columns (threshold (2d)^m = {t})"
+        )
     iset = admissible_set(k, d, m)
     if args.enumerate:
         members = [str(mu) for mu in iset.sorted_members()]
@@ -159,7 +146,7 @@ def _cmd_iset(args) -> int:
                 "k": k,
                 "d": d,
                 "m": m,
-                "threshold": restriction_threshold(d, m),
+                "threshold": iset.threshold,
                 "cardinality": str(len(iset)),
             },
             [str(len(iset))],

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from isotypic import (
-    DEFAULT_TERM_CAP,
     AdmissibleSet,
     DomainError,
     Partition,
@@ -19,7 +18,7 @@ from isotypic import (
     split_module,
     splits,
 )
-from isotypic.bounds import _member_of_admissible_tuple
+from isotypic.admissible import _staircase
 from kostka_lr import kostka_lr_split_multiplicity
 
 # cardinalities of I(k, 1, 1) for k = 1..12, frozen from exhaustive enumeration
@@ -125,8 +124,8 @@ def test_admissible_set_golden_cardinalities():
 def test_admissible_set_record_fields():
     iset = admissible_set(5, 1, 1)
     assert isinstance(iset, AdmissibleSet)
-    assert iset.weights == (5,) and iset.degrees == (1,) and iset.widths == (1,)
-    assert iset.thresholds == (2,)
+    assert iset.k == 5 and iset.d == 1 and iset.m == 1
+    assert iset.threshold == 2
     members = iset.sorted_members()
     assert members == sorted(members, reverse=True)
     # membership coerces plain sequences and refuses what is no partition
@@ -168,9 +167,7 @@ def test_closed_form_at_thresholds_that_are_not_powers(t):
     for k in range(1, 12):
         support = forward_pieri_union(k, t)
         for mu in enumerate_partitions(k):
-            member = _member_of_admissible_tuple(
-                PartitionTuple([mu]), (k,), (t,), DEFAULT_TERM_CAP
-            )
+            member = _staircase(mu) <= t
             assert member == (mu in support)
             seen_nonmember |= not member
     assert seen_nonmember == (t == 3)  # the 5-staircase weighs 21
@@ -194,6 +191,17 @@ def test_membership_agrees_with_kostka_lr_search(case):
         for triv, sign in splits(lam)
     )
     assert is_admissible(mu, d, m) == reached
+
+
+def test_staircase_index_is_the_largest_staircase_inside():
+    for k in range(21):
+        for mu in enumerate_partitions(k):
+            # staircase(r) is the staircase of size r + 1
+            largest = 0
+            while mu.contains(staircase(largest)):
+                largest += 1
+            assert _staircase(mu) == largest
+    assert _staircase(Partition()) == 0
 
 
 @pytest.mark.parametrize("d,m", [(1, 1), (2, 1), (1, 3)])

@@ -6,7 +6,6 @@ from math import comb
 import pytest
 
 from isotypic import (
-    DEFAULT_TERM_CAP,
     BoundParams,
     BoundReport,
     DomainError,
@@ -15,10 +14,13 @@ from isotypic import (
     PartitionTuple,
     affine_multiplicity_bound,
     complex_multiplicity_bound,
+    count_partition_tuples,
+    count_partitions,
     enumerate_partitions,
     equivariant_bound,
     g_factor,
     general_position_degree,
+    is_admissible,
     kostka,
     max_split_multiplicities,
     projection_image_bound,
@@ -29,8 +31,7 @@ from isotypic import (
     split_multiplicity,
 )
 from isotypic import bounds
-from isotypic.admissible import _in_hook_union
-from isotypic.bounds import _member_of_admissible_tuple
+from isotypic.admissible import _staircase
 from isotypic.partitions import _count_at_most
 
 # frozen after first computation; k = 1..10 per row
@@ -204,11 +205,11 @@ def test_complex_bound_is_affine_at_doubled_widths():
         k = mu.weight
         cplx = complex_multiplicity_bound(mu, BoundParams((k,), (m,), d))
         affine = affine_multiplicity_bound(mu, BoundParams((k,), (2 * m,), d))
-        member = _member_of_admissible_tuple(
-            PartitionTuple([mu]), (k,), ((4 * d) ** (2 * m),), DEFAULT_TERM_CAP
-        )
+        member = _staircase(mu) <= (4 * d) ** (2 * m)
         assert cplx.value == affine.value
         assert cplx.excluded == (affine.excluded and not member)
+        # outside the admissible set at (2d, 2m) the doubled-width value is 0
+        assert cplx.excluded == (not is_admissible(mu, 2 * d, 2 * m))
         outcomes.add((cplx.value == 0, cplx.excluded))
     assert outcomes == {(False, False), (True, False), (True, True)}
 
@@ -375,21 +376,27 @@ def test_block_product_matches_tuple_sum(weights, widths):
 
 @pytest.mark.parametrize("k", [11, 14])
 def test_block_walk_matches_tuple_sum_at_threshold_4(k, monkeypatch):
-    # At T = 4 the walk's hook-union filter first drops shapes at k = 14; at
-    # k = 11 no layer is heavy enough to be tested.
+    # At T = 4 the walk's staircase filter first drops shapes at k = 14; at
+    # k = 11 no layer is heavy enough to be tested.  The filter sees the
+    # peeled shapes, lighter than k (the affine prefilter sees the targets),
+    # and after one part the room is at most 3, so a shape of staircase
+    # index 4 is dropped.
     verdicts = []
 
-    def in_hook_union(rho, t):
-        verdicts.append(_in_hook_union(rho, t))
-        return verdicts[-1]
+    def staircase(rho):
+        s = _staircase(rho)
+        if sum(rho) < k:
+            verdicts.append(s <= 3)
+        return s
 
-    monkeypatch.setattr(bounds, "_in_hook_union", in_hook_union)
+    monkeypatch.setattr(bounds, "_staircase", staircase)
     params = BoundParams((k,), (2,), 1)
     for mu in enumerate_partitions(k):
         assert affine_multiplicity_bound(mu, params).value == brute_affine_sum(
             [mu], (k,), (2,), 1
         )
     assert (False in verdicts) == (k == 14)
+    assert bool(verdicts) == (k == 14)
 
 
 # Seeded bound-sweep targets and a few more at the same sizes.
@@ -426,12 +433,52 @@ def test_term_cap_refuses_before_the_walk(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "weights,thresholds",
+    [((7,), (2,)), ((7, 3), (2, 2)), ((6, 4, 2), (2, 3, 1)), ((12, 9), (4, 8))],
+)
+def test_term_cap_is_the_product_of_block_counts(weights, thresholds):
+    total = count_partition_tuples(weights, thresholds)
+    bounds._check_term_cap(weights, thresholds, total)
+    with pytest.raises(EnumerationCapExceeded):
+        bounds._check_term_cap(weights, thresholds, total - 1)
+
+
+def test_term_cap_refuses_a_long_block_before_its_count_table():
+    # a table of at-most-length counts for k = 10**9 would hold 10**9 ints
+    _count_at_most.cache_clear()
+    for weights in ((10**9,), (3, 10**9), (10**20, 3)):
+        with pytest.raises(EnumerationCapExceeded):
+            equivariant_bound(weights, (1,) * len(weights), 1)
+    assert _count_at_most.cache_info().currsize <= 1
+
+
+def test_projection_terms_have_a_closed_form_lower_bound():
+    # T >= 2 gives fiber weight n at least n // 2 + 1 terms
+    for k in range(1, 80):
+        for t in (2, 4, 8):
+            exact = sum(count_partitions(p + 1, min(t, p + 1)) for p in range(k))
+            closed_form = k + k * k // 4
+            assert closed_form <= exact
+            if t == 2:
+                assert closed_form == exact
+    _count_at_most.cache_clear()
+    with pytest.raises(EnumerationCapExceeded):
+        projection_image_bound(10**20, 1, 1)
+    assert _count_at_most.cache_info().currsize == 0
+    # the exact count still decides below the closed form's reach
+    exact = sum(count_partitions(p + 1, 16) for p in range(36))
+    projection_image_bound(36, 2, 2, cap=exact)
+    with pytest.raises(EnumerationCapExceeded):
+        projection_image_bound(36, 2, 2, cap=exact - 1)
+
+
+@pytest.mark.parametrize(
     "weights,thresholds", [((7,), (2,)), ((7, 3), (2, 2)), ((6, 4, 2), (2, 3, 1))]
 )
 def test_exclusion_membership_matches_tuple_search(weights, thresholds):
     # small thresholds, so that some targets are not members
     verdicts = [
-        _member_of_admissible_tuple(mu, weights, thresholds, DEFAULT_TERM_CAP)
+        all(_staircase(c) <= t for c, t in zip(mu, thresholds))
         for mu in partition_tuples(weights, weights)
     ]
     assert not all(verdicts)

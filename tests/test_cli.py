@@ -114,11 +114,11 @@ def test_iset_enumeration_refusal(capsys):
     code, out, err = run_cli(capsys, "iset", "26", "1", "1")
     assert code == 4
     assert "union of 2 rows and 2 columns" in err
-    # a member query that the fast filter settles still works above the cap
+    # a member query compares one staircase index, so it answers above the cap
     code, out, _ = run_cli(capsys, "iset", "26", "1", "1", "--member", "[3,3,3,3,3,3,3,3,2]")
     assert code == 0 and out.strip() == "not a member"
     code, out, err = run_cli(capsys, "iset", "26", "1", "1", "--member", "[26]")
-    assert code == 4
+    assert code == 0 and out.strip() == "member"
 
 
 def test_bound_commands(capsys):
@@ -215,9 +215,6 @@ HUGE = "99999999999999999999"
 TOO_LARGE_TO_INDEX = [
     ("dim", f"[{HUGE}]"),
     ("split-module", "[]", f"[{HUGE}]"),
-    ("bound", "affine", "--k", HUGE, "--d", "1", "--mu", f"[{HUGE}]"),
-    ("bound", "equivariant", "--k", HUGE, "--d", "1"),
-    ("bound", "projective", "--k", HUGE, "--d", "1"),
 ]
 
 
@@ -261,6 +258,19 @@ COUNTED_BEFORE_STARTING = [
     ("lr", f"[{HUGE}]", "[]", f"[{HUGE}]"),
     ("lr", "[10000001]", "[]", "[10000001]"),
     ("--cap", "5", "lr", "[3,3]", "[]", "[3,3]"),
+    ("bound", "affine", "--k", HUGE, "--d", "1", "--mu", f"[{HUGE}]"),
+    ("bound", "equivariant", "--k", HUGE, "--d", "1"),
+    ("bound", "projective", "--k", HUGE, "--d", "1"),
+    # the bound rules count block by block, so no count table of length k
+    # is built before the refusal
+    ("bound", "equivariant", "--k", "1000000000", "--d", "1", "--m", "1"),
+    ("bound", "equivariant", "--k", "20000000", "--d", "1", "--m", "1"),
+    ("bound", "affine", "--k", "100000000", "--d", "1", "--m", "1", "--mu", "[100000000]"),
+    ("bound", "projective", "--k", "100000000", "--d", "1"),
+    # the projection's k fiber weights have at least k + k*k // 4 terms
+    ("bound", "projection", "--k", "7000", "--m", "1", "--d", "1"),
+    ("bound", "projection", "--k", "100000", "--m", "1", "--d", "1"),
+    ("bound", "projection", "--k", HUGE, "--m", "1", "--d", "1"),
 ]
 
 
@@ -271,6 +281,25 @@ def test_partitions_and_lr_count_their_work_before_starting(capsys, argv):
         code, out, err = run_cli(capsys, "--format", fmt, *argv)
         assert code == 4 and out == ""
         assert err.startswith("cap exceeded:") and len(err.splitlines()) == 1
+    assert time.perf_counter() - start < 1
+
+
+# The staircase (9, 8, ..., 1) padded by ones to weight 300: it fits the 9x9
+# corner, and at T = 8 its affine sum has 1,612,517,760 terms.
+PADDED_STAIRCASE_9 = "[" + ",".join(map(str, range(9, 0, -1))) + ",1" * 255 + "]"
+
+
+@pytest.mark.parametrize("argv,answer", [
+    (("iset", "26", "1", "1", "--member", "[26]"), "member"),
+    (("bound", "affine", "--k", "300", "--d", "1", "--m", "3", "--mu", PADDED_STAIRCASE_9),
+     "0 (excluded)"),
+    # staircase index 5: zero at T = 4, but inside the exclusion set at T = 16
+    (("bound", "complex", "--k", "200", "--d", "1", "--m", "1", "--mu", "[40,40,40,40,40]"),
+     "0"),
+])
+def test_staircase_index_answers_before_any_count(capsys, argv, answer):
+    start = time.perf_counter()
+    assert run_cli(capsys, *argv) == (0, answer + "\n", "")
     assert time.perf_counter() - start < 1
 
 

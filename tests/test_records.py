@@ -30,8 +30,8 @@ def sample_records():
 
 def test_positional_and_keyword_construction():
     members = frozenset({Partition((2,))})
-    assert AdmissibleSet((2,), (1,), (1,), members) == AdmissibleSet(
-        weights=(2,), degrees=(1,), widths=(1,), members=members
+    assert AdmissibleSet(2, 1, 1, members) == AdmissibleSet(
+        k=2, d=1, m=1, members=members
     )
     assert BoundParams((3, 2), (1, 2), 2, 4) == BoundParams(
         degree=2, polys=4, widths=(1, 2), weights=(3, 2)
@@ -116,9 +116,8 @@ def test_records_are_immutable(record):
 
 def test_repr_form():
     params = BoundParams([3, 2], [1, 2], 2)
-    assert repr(AdmissibleSet((3,), (1,), (1,), frozenset({Partition((3,))}))) == (
-        "AdmissibleSet(weights=(3,), degrees=(1,), widths=(1,), "
-        "members=frozenset({Partition((3,))}))"
+    assert repr(AdmissibleSet(3, 1, 1, frozenset({Partition((3,))}))) == (
+        "AdmissibleSet(k=3, d=1, m=1, members=frozenset({Partition((3,))}))"
     )
     assert repr(params) == "BoundParams(weights=(3, 2), widths=(1, 2), degree=2, polys=None)"
     assert repr(BoundReport(6, "affine", params, PartitionTuple([(3,)]))) == (
