@@ -15,21 +15,26 @@ to peel the target down to the empty shape by one horizontal strip per
 trivial part and one vertical strip per sign part (``tableaux._peel``).
 
 A block sum is one depth-first walk over the sequences of (part, side)
-steps.  Parts never increase along a sequence, and at equal parts the
-horizontal side comes first, so each split of each ``lambda`` is one
-sequence.  A prefix's layer of peeled shapes is built once and shared by
-every sequence that extends it; a shape that no remaining number of strips
-can empty is dropped, and a prefix whose layer is empty is not extended.
-By the closed form of ``admissible``, the shapes that r more strips can
-empty are those with staircase index s(rho) <= r, and the targets with a
-nonzero affine value are those with s(mu) <= T in every block.  The last
-strip is counted in closed form: what remains must be a single row or a
-single column.  The walk keeps its pending prefixes on an
-explicit stack, so its depth, at most ``min(t, k)`` parts, uses no
-recursion.  In the equivariant and projection sums every split factor is 1,
-and a block sum is a closed form in the counts of partitions by length: the
-differences of one table of at-most-length counts per weight, the same table
-the term cap counts from.
+steps with parts of at least 2.  Parts never increase along a sequence,
+and at equal parts the horizontal side comes first, so each split of the
+parts above 1 of each ``lambda`` is one sequence.  A prefix's layer of
+peeled shapes is built once and shared by every sequence that extends it;
+a shape that no remaining number of strips can empty is dropped, and a
+prefix whose layer is empty is not extended.  By the closed form of
+``admissible``, the shapes that r more strips can empty are those with
+staircase index s(rho) <= r, and the targets with a nonzero affine value
+are those with s(mu) <= T in every block.  The last strip is counted in
+closed form, in one of two ways.  A prefix with room for its weight left
+in ones closes ``lambda`` = prefix + (1, ..., 1): a one-cell strip is both
+horizontal and vertical, so the side of each 1 does not matter, and the
+ones peel each shape rho of the layer in f^rho ways, its number of
+standard tableaux (``tableaux._one_cell_tail``).  A last part of at least
+2 leaves a single row or a single column.  The walk keeps its pending
+prefixes on an explicit stack, so its depth, at most ``min(t, k)`` parts,
+uses no recursion.  In the equivariant and projection sums every split
+factor is 1, and a block sum is a closed form in the counts of partitions
+by length: the differences of one table of at-most-length counts per
+weight, the same table the term cap counts from.
 
 ``affine_multiplicity_bound`` is the one evaluator of the affine sum.  The
 semi-algebraic bound is a binomial prefactor times its value, and the complex
@@ -57,7 +62,7 @@ from .partitions import (
     splits,
 )
 from .records import Record
-from .tableaux import _last_strip, _peel, _peel_step, _split_steps
+from .tableaux import _last_strip, _one_cell_tail, _peel, _peel_step, _split_steps
 
 DEFAULT_TERM_CAP = 10_000_000
 
@@ -174,7 +179,13 @@ def _block_sum(mu: Partition, t: int, base: int) -> int:
                 table = {rho: n for rho, n in table.items() if _staircase(rho) <= room}
             if not table:
                 continue
-        for size in range(min(left, parts[-1] if parts else left), 0, -1):
+        if left <= room:
+            # the prefix closed by ones, whatever their sides
+            lam = parts + (1,) * left
+            paths = _one_cell_tail(table)
+            if paths > best.get(lam, 0):
+                best[lam] = paths
+        for size in range(min(left, parts[-1] if parts else left), 1, -1):
             if left - size > size * (room - 1):
                 break  # parts only get smaller; the rest cannot fit in the room
             for vertical in (False, True):
@@ -209,7 +220,11 @@ def g_factor(
         )
     total = 1
     for mu, lam, m in zip(mu_tuple, lam_tuple, widths):
-        mult = max(_peel(mu, _split_steps(a, b)) for a, b in splits(lam))
+        # the side of a one-cell strip does not change the count, so only
+        # the splits with every 1 on the trivial side are peeled
+        mult = max(
+            _peel(mu, _split_steps(a, b)) for a, b in splits(lam) if 1 not in b
+        )
         if mult == 0:
             return 0
         total *= (2 * d) ** (m * len(lam)) * mult
@@ -367,7 +382,10 @@ def projective_multiplicity_bound(
 def _by_length(k: int, max_length: int, base: int) -> int:
     # sum of base**len(lam) over Par(k, max_length), grouped by length: the
     # count of each length is a difference in one table of at-most counts
-    counts = _count_at_most(k, min(max_length, k))
+    return _length_sum(_count_at_most(k, min(max_length, k)), base)
+
+
+def _length_sum(counts: Sequence[int], base: int) -> int:
     return sum((counts[j] - counts[j - 1]) * base**j for j in range(1, len(counts)))
 
 
@@ -412,17 +430,24 @@ def projection_image_bound(
     fiber_threshold = restriction_threshold(d, m)
     # T >= 2, so fiber weight n has at least n // 2 + 1 terms, and the k
     # fiber weights at least k + k*k // 4 together: that closed form is
-    # checked before any count table is built
-    if k + k * k // 4 > cap or sum(
-        count_partitions(p + 1, min(fiber_threshold, p + 1)) for p in range(k)
-    ) > cap:
+    # checked before any count table is built.  Each fiber weight's table
+    # is then read once, for the term count and for the value sum, which
+    # starts only after the count has passed the cap.
+    tables: list[tuple[int, ...]] = []
+    terms = 0
+    if k + k * k // 4 <= cap:
+        for n in range(1, k + 1):
+            counts = _count_at_most(n, min(fiber_threshold, n))
+            terms += counts[-1]
+            if terms > cap:
+                break
+            tables.append(counts)
+    if len(tables) < k:
         raise EnumerationCapExceeded(
             f"projection bound sums more terms than the cap of {cap}"
         )
     fiber_base = (2 * d) ** m
-    value = (2 * d) ** k * sum(
-        _by_length(p + 1, fiber_threshold, fiber_base) for p in range(k)
-    )
+    value = (2 * d) ** k * sum(_length_sum(counts, fiber_base) for counts in tables)
     params = BoundParams((k,), (m,), d)
     note = (
         "sum of equivariant bounds over the symmetric fiber powers of the "

@@ -28,8 +28,8 @@ from .orbits import (
     verify_power_identity,
 )
 from .partitions import (
+    _iter_partitions,
     _more_partitions_than,
-    enumerate_partitions,
     parse_partition,
     parse_partition_tuple,
 )
@@ -67,8 +67,19 @@ def _cmd_partitions(args) -> int:
         raise EnumerationCapExceeded(
             f"{args.k} has more partitions{rows} than the cap of {args.cap}"
         )
-    texts = [str(p) for p in enumerate_partitions(args.k, args.max_len)]
-    _emit(args, texts, texts)
+    # printed while the partitions are enumerated, so memory stays flat;
+    # the JSON form is the list json.dumps gives, and a partition's text
+    # needs no escaping
+    texts = map(str, _iter_partitions(args.k, args.max_len))
+    write = sys.stdout.write
+    if args.format == "json":
+        write("[")
+        for i, text in enumerate(texts):
+            write(f', "{text}"' if i else f'"{text}"')
+        write("]\n")
+    else:
+        for text in texts:
+            write(text + "\n")
     return EXIT_OK
 
 

@@ -117,9 +117,15 @@ def enumerate_partitions(k: int, max_length: int | None = None) -> list[Partitio
     Returned in canonical order: reverse-lexicographic on part sequences,
     so ``(4) > (3,1) > (2,2) > (2,1,1) > (1,1,1,1)``.
     """
+    return list(_iter_partitions(k, max_length))
+
+
+def _iter_partitions(k: int, max_length: int | None = None) -> Iterator[Partition]:
+    # the partitions of enumerate_partitions, in its order, one at a time
     max_rows = _row_bound(k, max_length)
     if k == 0:
-        return [Partition()]
+        yield Partition()
+        return
     # The successor loop of Zoghbi and Stojmenovic (ZS1, 1998), in place.
     # The parts above 1 are kept in ``big`` and the trailing ones as a
     # count.  A step lowers the last part above 1 by one and lays the freed
@@ -132,7 +138,7 @@ def enumerate_partitions(k: int, max_length: int | None = None) -> list[Partitio
     new = tuple.__new__
     big = [k] if k > 1 else []
     ones = 0 if big else 1
-    out = [new(Partition, (k,))]
+    yield new(Partition, (k,))
     while big:
         part = big.pop() - 1
         cells = part + 1 + ones
@@ -151,8 +157,7 @@ def enumerate_partitions(k: int, max_length: int | None = None) -> list[Partitio
                 ones = 0
             else:
                 ones = rest
-        out.append(new(Partition, big + [1] * ones))
-    return out
+        yield new(Partition, big + [1] * ones)
 
 
 def _row_counts(n: int) -> Iterator[int]:

@@ -2,13 +2,17 @@
 
 Kostka numbers and split multiplicities share one engine, the strip peel
 ``_peel``: it counts the ways to remove strips from a shape down to the
-empty one, a layer of shapes per strip.  Strips are enumerated by two
-loops that scan the shape's runs of equal rows, one adding a horizontal
-strip and one removing it; each stops a shape as soon as its cells run out
-and copies the rows below as one slice.  A vertical strip is the conjugate
-of a horizontal one, so the vertical enumerators transpose, run the
-horizontal loop and transpose back.  No enumerator recurses, so tall and
-wide shapes cost no recursion depth.
+empty one, a layer of shapes per strip down to the first one-cell strip.
+A one-cell strip is both horizontal and vertical, and c of them empty a
+shape rho of weight c in f^rho ways (a standard tableau read backwards),
+so the ones that end a peel are counted by the hook-length formula
+instead of layer by layer.  Strips are enumerated by two loops that scan
+the shape's runs of equal rows, one adding a horizontal strip and one
+removing it; each stops a shape as soon as its cells run out and copies
+the rows below as one slice.  A vertical strip is the conjugate of a
+horizontal one, so the vertical enumerators transpose, run the horizontal
+loop and transpose back.  No enumerator recurses, so tall and wide shapes
+cost no recursion depth.
 The four enumerators and the LR coefficients keep their results in
 unbounded caches keyed by canonical partition tuples; everything else
 ``_peel`` builds lives for one call.
@@ -164,6 +168,13 @@ def _last_strip(table: dict, size: int, vertical: bool) -> int:
     return table.get((1,) * size if vertical else (size,), 0)
 
 
+def _one_cell_tail(table: dict) -> int:
+    # A one-cell strip is both horizontal and vertical, and peeling a shape
+    # of weight c cell by cell down to the empty one is a standard tableau
+    # read backwards: f^rho ways, by the hook-length formula.
+    return sum(paths * _specht_dim(rho) for rho, paths in table.items())
+
+
 def _peel(mu: Partition, steps: Sequence[tuple[int, bool]]) -> int:
     """Number of ways to peel ``mu`` down to the empty shape by one strip per
     ``(size, vertical)`` step; the sizes must add up to ``mu``'s weight.
@@ -177,16 +188,22 @@ def _peel(mu: Partition, steps: Sequence[tuple[int, bool]]) -> int:
     factors on beta: the mixed fillings of Berele-Regev (alpha|beta) hook
     supertableaux, read backwards.  Callers order ``steps`` largest first
     (``_split_steps``), which keeps the layers small; the peel stops as soon
-    as a layer is empty, and the last strip is counted in closed form.
+    as a layer is empty.  Only the strips of two or more cells are peeled
+    layer by layer: the one-cell steps, on either side and wherever they
+    stand, come last and count each shape left in closed form
+    (``_one_cell_tail``), and without them the last strip is counted in
+    closed form as a row or a column.
     """
     if not steps:
         return 1 if not mu else 0
+    strips = [step for step in steps if step[0] > 1]
+    ones = len(strips) < len(steps)
     table = {mu: 1}
-    for size, vertical in steps[:-1]:
+    for size, vertical in strips if ones else strips[:-1]:
         table = _peel_step(table, size, vertical)
         if not table:
             return 0
-    return _last_strip(table, *steps[-1])
+    return _one_cell_tail(table) if ones else _last_strip(table, *strips[-1])
 
 
 def kostka(mu: Sequence[int], lam: Sequence[int]) -> int:

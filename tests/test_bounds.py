@@ -409,6 +409,12 @@ BENCH_TARGETS = [
     ((3, 3, 2, 2, 2, 1, 1), 2, 2),
     ((6, 4, 3, 1, 1), 2, 2),
     ((5, 4, 3, 2, 1), 2, 2),
+    # T = 16 >= k at the sizes of the complex (k = 14, widths doubled to
+    # 4) and projective (k = 15) targets, so every lambda of Par(k) fits
+    ((5, 4, 3, 2), 1, 4),
+    ((4, 3, 2, 2, 1, 1, 1), 1, 4),
+    ((5, 4, 3, 2, 1), 1, 4),
+    ((6, 3, 2, 1, 1, 1, 1), 1, 4),
 ]
 
 
@@ -421,6 +427,26 @@ def test_block_walk_matches_sum_of_g_factors(mu, d, m):
     )
     assert expected > 0
     assert affine_multiplicity_bound(mu, BoundParams((k,), (m,), d)).value == expected
+
+
+def test_block_walk_never_peels_a_one_cell_strip(monkeypatch):
+    sizes = []
+    peel_step = bounds._peel_step
+
+    def recording(table, size, vertical):
+        sizes.append(size)
+        return peel_step(table, size, vertical)
+
+    monkeypatch.setattr(bounds, "_peel_step", recording)
+    for k in range(1, 10):
+        for mu in enumerate_partitions(k):
+            for d, m in ((1, 1), (1, 2), (1, 3)):
+                t = (2 * d) ** m
+                expected = sum(
+                    g_factor([mu], [lam], d, (m,)) for lam in enumerate_partitions(k, t)
+                )
+                assert affine_multiplicity_bound(mu, BoundParams((k,), (m,), d)).value == expected
+    assert sizes and min(sizes) >= 2
 
 
 def test_term_cap_refuses_before_the_walk(monkeypatch):
@@ -520,6 +546,16 @@ def test_projection_builds_one_count_table_per_weight():
     _count_at_most.cache_clear()
     projection_image_bound(36, 2, 2)
     assert _count_at_most.cache_info().currsize <= 36
+
+
+def test_projection_reads_each_count_table_once_past_the_cache_size():
+    # 1,100 fiber weights do not fit the 1,024 tables the cache keeps, so
+    # a second pass over them would miss every one again
+    _count_at_most.cache_clear()
+    projection_image_bound(1100, 1, 1)
+    info = _count_at_most.cache_info()
+    assert info.misses == 1100
+    assert info.hits == 0
 
 
 def test_projection_matches_sum_of_fiber_powers():

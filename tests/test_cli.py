@@ -247,6 +247,37 @@ def test_partitions_output_is_unchanged(capsys):
         assert (code, json.loads(out), err) == (0, expected, "")
 
 
+def test_partitions_listing_is_the_text_and_json_of_the_whole_list(capsys):
+    # the listing is written while it is enumerated; its bytes are those of
+    # printing each partition and of json.dumps on the whole list
+    for k in range(9):
+        for rows in ((), ("--max-len", "2")):
+            texts = [str(p) for p in enumerate_partitions(k, *map(int, rows[1:]))]
+            assert run_cli(capsys, "partitions", str(k), *rows) == (
+                0, "".join(text + "\n" for text in texts), ""
+            )
+            assert run_cli(capsys, "--format", "json", "partitions", str(k), *rows) == (
+                0, json.dumps(texts) + "\n", ""
+            )
+
+
+def test_partitions_listing_does_not_hold_the_partitions():
+    # p(50) = 204,226 partitions; holding them and their texts took 67 MB.
+    # Linux keeps the peak of the memory a process had before exec in its
+    # ru_maxrss, so the CLI runs as the child of a small probe process and
+    # the probe reports its children's peak, in KiB.
+    probe = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.run([sys.executable, '-m', 'isotypic', 'partitions', '50'],"
+        " stdout=subprocess.DEVNULL).returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    result = run_python("-c", probe)
+    code, peak_kib = result.stdout.split()
+    assert code == "0"
+    assert int(peak_kib) < 40 * 1024
+
+
 COUNTED_BEFORE_STARTING = [
     ("partitions", "77"),  # p(77) = 10,619,863
     ("partitions", "80"),

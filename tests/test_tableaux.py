@@ -15,9 +15,12 @@ from isotypic import (
     oracle_lr,
     specht_dim,
 )
+from isotypic.partitions import splits
 from isotypic.tableaux import (
     _horizontal_strips_above,
     _horizontal_strips_below,
+    _peel,
+    _split_steps,
     _vertical_strips_above,
     _vertical_strips_below,
 )
@@ -243,6 +246,43 @@ def test_kostka_peel_at_large_sizes():
         assert kostka((n - 1, 1), (n - 1, 1)) == 1
         assert kostka((n - 2, 2), (n - 1, 1)) == 0
         assert kostka(ones, (n,)) == 0
+
+
+def peel_every_step(mu, steps):
+    """Reference peel: one layer of strip removals per step, each one-cell
+    step too, down to the empty shape."""
+    table = {Partition(mu): 1}
+    for size, vertical in steps:
+        strips = _vertical_strips_below if vertical else _horizontal_strips_below
+        layer = {}
+        for nu, paths in table.items():
+            for rho in strips(nu, size):
+                layer[rho] = layer.get(rho, 0) + paths
+        table = layer
+    return table.get(Partition(), 0)
+
+
+def test_one_cell_tail_matches_peeling_cell_by_cell():
+    # every step list whose sizes end in ones, with the ones on either side
+    checked = 0
+    for n in range(1, 11):
+        shapes = enumerate_partitions(n)
+        for lam in shapes:
+            if lam[-1] != 1:
+                continue
+            for triv, sign in splits(lam):
+                steps = _split_steps(triv, sign)
+                for mu in shapes:
+                    assert _peel(mu, steps) == peel_every_step(mu, steps)
+                    checked += 1
+    assert checked > 10_000
+
+
+def test_kostka_with_unit_content_counts_standard_tableaux():
+    for n in range(1, 13):
+        for mu in enumerate_partitions(n):
+            assert kostka(mu, [1] * n) == specht_dim(mu)
+    assert kostka([8, 7, 6, 5, 4, 3, 2, 1], [1] * 36) == 29258366996258488320
 
 
 def test_oracles_refuse_large_inputs():
