@@ -20,21 +20,23 @@ and at equal parts the horizontal side comes first, so each split of the
 parts above 1 of each ``lambda`` is one sequence.  A prefix's layer of
 peeled shapes is built once and shared by every sequence that extends it;
 a shape that no remaining number of strips can empty is dropped, and a
-prefix whose layer is empty is not extended.  By the closed form of
-``admissible``, the shapes that r more strips can empty are those with
-staircase index s(rho) <= r, and the targets with a nonzero affine value
-are those with s(mu) <= T in every block.  The last strip is counted in
-closed form, in one of two ways.  A prefix with room for its weight left
-in ones closes ``lambda`` = prefix + (1, ..., 1): a one-cell strip is both
-horizontal and vertical, so the side of each 1 does not matter, and the
-ones peel each shape rho of the layer in f^rho ways, its number of
-standard tableaux (``tableaux._one_cell_tail``).  A last part of at least
-2 leaves a single row or a single column.  The walk keeps its pending
-prefixes on an explicit stack, so its depth, at most ``min(t, k)`` parts,
-uses no recursion.  In the equivariant and projection sums every split
-factor is 1, and a block sum is a closed form in the counts of partitions
-by length: the differences of one table of at-most-length counts per
-weight, the same table the term cap counts from.
+prefix whose layer is empty is not extended.  Nor is a prefix whose next
+strip could peel no shape of its layer: a horizontal strip wider than
+every shape's first row, or a vertical one longer than every shape.  By
+the closed form of ``admissible``, the shapes that r more strips can empty
+are those with staircase index s(rho) <= r, and the targets with a nonzero
+affine value are those with s(mu) <= T in every block.  The last strip is
+counted in closed form, in one of two ways.  A prefix with room for its
+weight left in ones closes ``lambda`` = prefix + (1, ..., 1): a one-cell
+strip is both horizontal and vertical, so the side of each 1 does not
+matter, and the ones peel each shape rho of the layer in f^rho ways, its
+number of standard tableaux (``tableaux._one_cell_tail``).  A last part of
+at least 2 leaves a single row or a single column.  The walk keeps its
+pending prefixes on an explicit stack, so its depth, at most ``min(t, k)``
+parts, uses no recursion.  In the equivariant and projection sums every
+split factor is 1, and a block sum is a closed form in the counts of
+partitions by length: the differences of one table of at-most-length
+counts per weight, the same table the term cap counts from.
 
 ``affine_multiplicity_bound`` is the one evaluator of the affine sum.  The
 semi-algebraic bound is a binomial prefactor times its value, and the complex
@@ -185,6 +187,12 @@ def _block_sum(mu: Partition, t: int, base: int) -> int:
             paths = _one_cell_tail(table)
             if paths > best.get(lam, 0):
                 best[lam] = paths
+        # A strip wider (horizontal) or longer (vertical) than every shape
+        # of the layer peels it to nothing.  The first shape is nearly always
+        # the widest and the last the longest, so the layer is scanned only
+        # when a strip passes them.
+        wide, tall = next(iter(table))[0], len(next(reversed(table)))
+        scanned = False
         for size in range(min(left, parts[-1] if parts else left), 1, -1):
             if left - size > size * (room - 1):
                 break  # parts only get smaller; the rest cannot fit in the room
@@ -192,7 +200,10 @@ def _block_sum(mu: Partition, t: int, base: int) -> int:
                 if not vertical and step == (size, True):
                     continue  # at equal parts the horizontal side comes first
                 if size < left:
-                    stack.append((table, parts + (size,), left - size, (size, vertical)))
+                    if size > (tall if vertical else wide) and not scanned:
+                        wide, tall, scanned = max(table)[0], max(map(len, table)), True
+                    if size <= (tall if vertical else wide):
+                        stack.append((table, parts + (size,), left - size, (size, vertical)))
                     continue
                 paths = _last_strip(table, size, vertical)
                 lam = parts + (size,)

@@ -5,10 +5,14 @@ symmetric group up to isomorphism, as a multiplicity map over irreducibles:
 its keys are :class:`Partition` values and its ambient is the weight they
 share.  All combinators return fresh values.
 
-Young modules and split modules are built forward by Pieri steps, and one
-unbounded cache, ``_split_module``, keeps each by its trivial and sign
-sides; a Young module is the split module with no sign side.  Callers
-share the cached values, which no combinator changes.
+Young modules and split modules are built forward by Pieri steps, one per
+part, from the empty shape.  The running table is keyed by plain tuples,
+and its keys become partitions once, when the finished module is wrapped
+(``_module``); a step of one cell, on either side, adds a cell at each
+addable corner (``tableaux._cells_above``).  One unbounded cache,
+``_split_module``, keeps each module by its trivial and sign sides; a
+Young module is the split module with no sign side.  Callers share the
+cached values, which no combinator changes.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DomainError
 from .partitions import Partition, enumerate_partitions, parse_partition, splits
 from .tableaux import (
+    _cells_above,
     _horizontal_strips_above,
     _peel,
     _split_steps,
@@ -163,24 +168,39 @@ def young_module(lam: Sequence[int]) -> Decomposition:
 
 def pieri_row(dec: Decomposition, n: int) -> Decomposition:
     """Induce with a trivial factor on ``n`` extra letters: add horizontal strips."""
-    return _pieri(dec, n, _horizontal_strips_above)
+    return _pieri(dec, n, False)
 
 
 def pieri_col(dec: Decomposition, n: int) -> Decomposition:
     """Induce with a sign factor on ``n`` extra letters: add vertical strips."""
-    return _pieri(dec, n, _vertical_strips_above)
+    return _pieri(dec, n, True)
 
 
-def _pieri(dec: Decomposition, n: int, strips) -> Decomposition:
+def _pieri(dec: Decomposition, n: int, vertical: bool) -> Decomposition:
     if n < 0:
         raise DomainError("strip size must be nonnegative")
     if n == 0:
         return dec
-    terms: dict = {}
-    for lam, mult in dec._terms.items():
-        for mu in strips(lam, n):
-            terms[mu] = terms.get(mu, 0) + mult
-    return Decomposition._from_valid(terms, dec.ambient + n)
+    return _module(_pieri_step(dec._terms, n, vertical), dec.ambient + n)
+
+
+def _pieri_step(table: dict, n: int, vertical: bool) -> dict:
+    # One Pieri step on a table keyed by plain tuples.  A one-cell strip is
+    # both horizontal and vertical, so a step of size 1 on either side adds
+    # a cell at each addable corner.
+    strips = _vertical_strips_above if vertical else _horizontal_strips_above
+    out: dict = {}
+    get = out.get
+    for lam, mult in table.items():
+        for mu in _cells_above(lam) if n == 1 else strips(lam, n):
+            out[mu] = get(mu, 0) + mult
+    return out
+
+
+def _module(table: dict, ambient: int) -> Decomposition:
+    # the kernel's plain-tuple keys become partitions once, at the boundary
+    wrap = Partition._from_valid
+    return Decomposition._from_valid({wrap(mu): mult for mu, mult in table.items()}, ambient)
 
 
 def outer_product(d1: Decomposition, d2: Decomposition) -> Decomposition:
@@ -205,12 +225,12 @@ def _split_module(triv: Partition, sign: Partition) -> Decomposition:
     # One Pieri step per part, forward from the empty shape: every shape a
     # step reaches has a nonzero multiplicity, so no partition of the weight
     # is tried and discarded.
-    dec = Decomposition._from_valid({Partition(): 1}, 0)
+    table: dict = {(): 1}
     for p in triv:
-        dec = _pieri(dec, p, _horizontal_strips_above)
+        table = _pieri_step(table, p, False)
     for q in sign:
-        dec = _pieri(dec, q, _vertical_strips_above)
-    return dec
+        table = _pieri_step(table, q, True)
+    return _module(table, triv.weight + sign.weight)
 
 
 def split_module(triv: Sequence[int], sign: Sequence[int]) -> Decomposition:

@@ -74,13 +74,18 @@ class Partition(tuple):
 
 @lru_cache(maxsize=None)
 def _transpose(lam: "Partition") -> "Partition":
-    # the lam[i] - lam[i+1] columns that end in row i hold i + 1 cells each
+    return Partition._from_valid(_conjugate(lam))
+
+
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    # the parts[i] - parts[i+1] columns that end in row i hold i + 1 cells
+    # each; a plain tuple in and out, uncached, for the forward Pieri kernel
     columns: list[int] = []
     below = 0
-    for i in range(len(lam) - 1, -1, -1):
-        columns += [i + 1] * (lam[i] - below)
-        below = lam[i]
-    return Partition._from_valid(tuple(columns))
+    for i in range(len(parts) - 1, -1, -1):
+        columns += [i + 1] * (parts[i] - below)
+        below = parts[i]
+    return tuple(columns)
 
 
 class PartitionTuple(tuple):

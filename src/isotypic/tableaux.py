@@ -13,9 +13,16 @@ the rows below as one slice.  A vertical strip is the conjugate of a
 horizontal one, so the vertical enumerators transpose, run the horizontal
 loop and transpose back.  No enumerator recurses, so tall and wide shapes
 cost no recursion depth.
-The four enumerators and the LR coefficients keep their results in
-unbounded caches keyed by canonical partition tuples; everything else
-``_peel`` builds lives for one call.
+
+The forward enumerators (``_horizontal_strips_above``,
+``_vertical_strips_above`` and the one-cell step ``_cells_above``) are the
+kernel of the forward Pieri build in ``induction``: they take and return
+plain tuples and cache nothing.  The one-cell step adds a cell at each
+addable corner, and serves both sides, since a one-cell strip is both
+horizontal and vertical (the fact ``_one_cell_tail`` uses on the peel
+side).  The backward enumerators, the Specht dimensions and the LR
+coefficients keep their results in unbounded caches keyed by partitions;
+everything else ``_peel`` builds lives for one call.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from math import factorial
 from typing import Sequence
 
 from .errors import DomainError
-from .partitions import Partition
+from .partitions import Partition, _conjugate
 
 
 def hook_lengths(lam: Sequence[int]) -> dict[tuple[int, int], int]:
@@ -55,8 +62,7 @@ def specht_dim(lam: Sequence[int]) -> int:
     return _specht_dim(Partition(lam))
 
 
-@lru_cache(maxsize=None)
-def _horizontal_strips_above(lam: Partition, n: int) -> tuple[Partition, ...]:
+def _horizontal_strips_above(lam: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
     # A horizontal strip adds at most one cell per column, so in a run of
     # equal rows only the top row can grow, up to the part above the run
     # (the first run without bound), and a new bottom row takes at most the
@@ -66,15 +72,17 @@ def _horizontal_strips_above(lam: Partition, n: int) -> tuple[Partition, ...]:
     # order; a shape is done once its cells run out, and the rows below are
     # then copied from lam, so no state carries them.  The growths are
     # pushed by a plain loop: a generator with min and max took a third
-    # more time, and this loop is most of a Young module's cost.
+    # more time.  Shapes are plain tuples, and nothing is cached: the
+    # forward Pieri kernel meets each shape once per step, and wrapping
+    # and caching every shape cost more than the loop.
     length = len(lam)
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
     stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), n)]  # (row, rows, cells left)
     push, pop = stack.append, stack.pop
     while stack:
         i, rows, left = pop()
         if not left:
-            out.append(Partition._from_valid(rows + lam[i:]))
+            out.append(rows + lam[i:])
         elif i < length:
             part = lam[i]
             end = i + 1
@@ -89,8 +97,23 @@ def _horizontal_strips_above(lam: Partition, n: int) -> tuple[Partition, ...]:
                 push((end, rows + (part + grow,) + rest, left - grow))
                 grow += 1
         else:
-            out.append(Partition._from_valid(rows + (left,)))
+            out.append(rows + (left,))
     return tuple(out)
+
+
+def _cells_above(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # The one-cell Pieri step, on either side: a one-cell strip is both
+    # horizontal and vertical.  A cell can go at the end of the first row of
+    # each run of equal rows, or start a new row; in that order the shapes
+    # come out descending.
+    out = []
+    above = 0
+    for i, part in enumerate(lam):
+        if part != above:
+            out.append(lam[:i] + (part + 1,) + lam[i + 1:])
+            above = part
+    out.append(lam + (1,))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -129,21 +152,19 @@ def _horizontal_strips_below(mu: Partition, n: int) -> tuple[Partition, ...]:
 
 # A vertical strip is the conjugate of a horizontal one (tensoring with the
 # sign swaps h_r and e_r).  The vertical enumerators transpose their input,
-# call the uncached horizontal loop (``__wrapped__``), so the conjugate-space
-# lists take no cache entries, and sort the transposed outputs back into
-# descending order, which conjugation does not keep.
-def _conjugates(shapes: tuple[Partition, ...]) -> tuple[Partition, ...]:
-    return tuple(sorted(map(Partition.transpose, shapes), reverse=True))
-
-
-@lru_cache(maxsize=None)
-def _vertical_strips_above(lam: Partition, n: int) -> tuple[Partition, ...]:
-    return _conjugates(_horizontal_strips_above.__wrapped__(lam.transpose(), n))
+# run the horizontal loop and sort the transposed outputs back into
+# descending order, which conjugation does not keep.  The forward one works
+# on plain tuples; the backward one calls the uncached loop
+# (``__wrapped__``), so the conjugate-space lists take no cache entries.
+def _vertical_strips_above(lam: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    shapes = _horizontal_strips_above(_conjugate(lam), n)
+    return tuple(sorted(map(_conjugate, shapes), reverse=True))
 
 
 @lru_cache(maxsize=None)
 def _vertical_strips_below(mu: Partition, n: int) -> tuple[Partition, ...]:
-    return _conjugates(_horizontal_strips_below.__wrapped__(mu.transpose(), n))
+    shapes = _horizontal_strips_below.__wrapped__(mu.transpose(), n)
+    return tuple(sorted(map(Partition.transpose, shapes), reverse=True))
 
 
 def _split_steps(triv: Sequence[int], sign: Sequence[int] = ()) -> list[tuple[int, bool]]:

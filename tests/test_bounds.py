@@ -430,12 +430,16 @@ def test_block_walk_matches_sum_of_g_factors(mu, d, m):
 
 
 def test_block_walk_never_peels_a_one_cell_strip(monkeypatch):
-    sizes = []
+    # nor a strip wider (horizontal) or longer (vertical) than every shape
+    # of its layer, so no peel step comes back empty
+    sizes, layers = [], []
     peel_step = bounds._peel_step
 
     def recording(table, size, vertical):
         sizes.append(size)
-        return peel_step(table, size, vertical)
+        out = peel_step(table, size, vertical)
+        layers.append(len(out))
+        return out
 
     monkeypatch.setattr(bounds, "_peel_step", recording)
     for k in range(1, 10):
@@ -447,6 +451,7 @@ def test_block_walk_never_peels_a_one_cell_strip(monkeypatch):
                 )
                 assert affine_multiplicity_bound(mu, BoundParams((k,), (m,), d)).value == expected
     assert sizes and min(sizes) >= 2
+    assert min(layers) > 0
 
 
 def test_term_cap_refuses_before_the_walk(monkeypatch):

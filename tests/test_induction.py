@@ -242,12 +242,30 @@ def test_trivial_target_max_over_splits_is_one():
 
 
 def test_dual_path_split_multiplicities():
-    for k in range(0, 6):
+    # a 1 on either side is a forward corner step, and a one-cell tail of
+    # the peel, counted by the hook-length formula
+    for k in range(0, 9):
         for lam in enumerate_partitions(k):
             for triv, sign in splits(lam):
                 via_pieri = split_module(triv, sign)
                 for mu in enumerate_partitions(k):
                     assert split_multiplicity(mu, triv, sign) == via_pieri[mu]
+
+
+def test_modules_are_keyed_by_partitions():
+    # the forward kernel runs on plain tuples; its outputs do not
+    empty = Decomposition({Partition(): 1}, ambient=0)
+    modules = [
+        young_module((3, 2, 1, 1)),
+        split_module((2, 1), (2, 1)),
+        pieri_row(young_module((2, 1)), 2),
+        pieri_col(young_module((2, 1)), 2),
+        pieri_row(pieri_col(empty, 1), 1),
+    ]
+    for dec in modules:
+        assert all(type(key) is Partition for key in dec.support())
+    assert all(type(key) is Partition for key in max_split_multiplicities((2, 2, 1, 1)))
+    assert str(young_module([2, 1, 1])) == "1*[4] + 2*[3,1] + 1*[2,2] + 1*[2,1,1]"
 
 
 def test_split_support_row_column_confinement():

@@ -17,6 +17,7 @@ from isotypic import (
 )
 from isotypic.partitions import splits
 from isotypic.tableaux import (
+    _cells_above,
     _horizontal_strips_above,
     _horizontal_strips_below,
     _peel,
@@ -180,10 +181,10 @@ def test_strip_extensions_and_restrictions_are_inverse():
     for k in range(0, 7):
         for lam in enumerate_partitions(k):
             for n in range(0, 4):
-                for mu in _horizontal_strips_above(lam, n):
+                for mu in map(Partition, _horizontal_strips_above(lam, n)):
                     assert lam in _horizontal_strips_below(mu, n)
                     assert mu.weight == k + n and is_horizontal_strip(mu, lam)
-                for mu in _vertical_strips_above(lam, n):
+                for mu in map(Partition, _vertical_strips_above(lam, n)):
                     assert lam in _vertical_strips_below(mu, n)
                     assert mu.weight == k + n and is_vertical_strip(mu, lam)
 
@@ -201,6 +202,16 @@ def test_strip_enumerations_are_complete():
                 for mu in enumerate_partitions(k + n):
                     assert (mu in horiz) == is_horizontal_strip(mu, lam)
                     assert (mu in vert) == is_vertical_strip(mu, lam)
+
+
+def test_one_cell_step_is_both_strips():
+    # the forward kernel's corner loop serves the trivial and the sign side
+    for k in range(0, 10):
+        for lam in enumerate_partitions(k):
+            plain = tuple(lam)
+            cells = tuple(_cells_above(plain))
+            assert cells == _horizontal_strips_above(plain, 1)
+            assert cells == _vertical_strips_above(plain, 1)
 
 
 def test_strips_of_tall_and_wide_shapes():
