@@ -33,8 +33,6 @@ from .induction import (
     irreducible,
     max_split_multiplicities,
     outer_product,
-    pieri_col,
-    pieri_row,
     sign_twist,
     split_module,
     split_multiplicity,
@@ -56,7 +54,6 @@ from .orbits import (
 from .partitions import (
     Partition,
     PartitionTuple,
-    count_partition_tuples,
     count_partitions,
     dominates,
     enumerate_partitions,

@@ -44,8 +44,7 @@ bound is its value at doubled widths.
 
 Evaluation refuses to start when the paper's sum has more lambda-terms than
 the cap; the terms are counted block by block, not enumerated, and a count
-that passes the cap stops before its table is built.  The ``workers``
-keyword is accepted for compatibility and has no effect.
+that passes the cap stops before its table is built.
 """
 
 from __future__ import annotations
@@ -254,7 +253,6 @@ def affine_multiplicity_bound(
     params: BoundParams,
     *,
     cap: int = DEFAULT_TERM_CAP,
-    workers: int = 1,
 ) -> BoundReport:
     """Bound on the multiplicity of ``mu`` in the cohomology of a symmetric
     real affine variety of the given degree and block structure.
@@ -311,7 +309,6 @@ def sa_multiplicity_bound(
     params: BoundParams,
     *,
     cap: int = DEFAULT_TERM_CAP,
-    workers: int = 1,
 ) -> BoundReport:
     """Bound for closed semi-algebraic sets cut out by ``params.polys``
     symmetric polynomials: the affine sum times a binomial prefactor.  The
@@ -328,7 +325,6 @@ def complex_multiplicity_bound(
     params: BoundParams,
     *,
     cap: int = DEFAULT_TERM_CAP,
-    workers: int = 1,
 ) -> BoundReport:
     """Bound for symmetric complex affine varieties.
 
@@ -357,7 +353,6 @@ def projective_multiplicity_bound(
     letters: int | None = None,
     *,
     cap: int = DEFAULT_TERM_CAP,
-    workers: int = 1,
 ) -> BoundReport:
     """Bound for symmetric complex projective varieties in ``k``-dimensional
     projective space, degree at most ``d``.
@@ -409,7 +404,12 @@ def equivariant_bound(
     workers: int = 1,
 ) -> BoundReport:
     """Bound on the total cohomology of the quotient: the affine sum for the
-    trivial target, where every split multiplicity factor is 1."""
+    trivial target, where every split multiplicity factor is 1.
+
+    ``workers`` has no effect on the value or the speed.  It stays only
+    because the benchmark's bound-sweep passes it, and goes when that
+    workload stops passing it.
+    """
     params = BoundParams(tuple(weights), tuple(widths), d)
     thresholds = params.thresholds
     _check_term_cap(params.weights, thresholds, cap)
@@ -426,7 +426,6 @@ def projection_image_bound(
     d: int,
     *,
     cap: int = DEFAULT_TERM_CAP,
-    workers: int = 1,
 ) -> BoundReport:
     """Bound on the total cohomology of the image of a bounded degree-``d``
     variety in ``k + m`` variables under projection to the first ``k``.

@@ -172,7 +172,7 @@ def _require(args, option: str, condition: bool) -> None:
 
 def _cmd_bound(args) -> int:
     rule = args.rule
-    kw = {"cap": args.cap, "workers": args.workers}
+    kw = {"cap": args.cap}
     _require(args, "--k", args.k is not None)
     _require(args, "--d", args.d is not None)
     widths = args.m if args.m is not None else (1,) * len(args.k)
@@ -280,12 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="refuse bound sums and example H^0 sums with more terms, partitions "
         "listings with more partitions, and lr skew shapes with more cells than this",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for compatibility; has no effect on values, output or speed",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partitions", help="enumerate partitions of k")
@@ -342,8 +336,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args._parser = parser
     if args.cap < 1:
         parser.error("--cap must be at least 1")
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
     # Exact values can be longer than the interpreter's int <-> str
     # conversion limit, so the command runs without it; argparse has
     # already converted the integer arguments under it.

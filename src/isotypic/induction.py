@@ -5,14 +5,15 @@ symmetric group up to isomorphism, as a multiplicity map over irreducibles:
 its keys are :class:`Partition` values and its ambient is the weight they
 share.  All combinators return fresh values.
 
-Young modules and split modules are built forward by Pieri steps, one per
-part, from the empty shape.  The running table is keyed by plain tuples,
-and its keys become partitions once, when the finished module is wrapped
-(``_module``); a step of one cell, on either side, adds a cell at each
-addable corner (``tableaux._cells_above``).  One unbounded cache,
-``_split_module``, keeps each module by its trivial and sign sides; a
-Young module is the split module with no sign side.  Callers share the
-cached values, which no combinator changes.
+Young modules and split modules are built forward from the empty shape by
+one Pieri step per part (``_pieri_step``), the only forward kernel; no
+single step is public.  The running table is keyed by plain tuples, and
+its keys become partitions once, when the finished module is wrapped; a
+step of one cell, on either side, adds a cell at each addable corner
+(``tableaux._cells_above``).  One unbounded cache, ``_split_module``,
+keeps each module by its trivial and sign sides; a Young module is the
+split module with no sign side.  Callers share the cached values, which
+no combinator changes.
 """
 
 from __future__ import annotations
@@ -147,10 +148,10 @@ class Decomposition:
         return cls(terms, ambient=data["ambient"])
 
 
-def irreducible(key: Sequence[int], mult: int = 1) -> Decomposition:
+def irreducible(key: Sequence[int]) -> Decomposition:
     """The decomposition holding a single irreducible."""
     key = Partition(key)
-    return Decomposition({key: mult}, ambient=key.weight)
+    return Decomposition({key: 1}, ambient=key.weight)
 
 
 def young_module(lam: Sequence[int]) -> Decomposition:
@@ -166,24 +167,6 @@ def young_module(lam: Sequence[int]) -> Decomposition:
     return _split_module(Partition(lam), Partition())
 
 
-def pieri_row(dec: Decomposition, n: int) -> Decomposition:
-    """Induce with a trivial factor on ``n`` extra letters: add horizontal strips."""
-    return _pieri(dec, n, False)
-
-
-def pieri_col(dec: Decomposition, n: int) -> Decomposition:
-    """Induce with a sign factor on ``n`` extra letters: add vertical strips."""
-    return _pieri(dec, n, True)
-
-
-def _pieri(dec: Decomposition, n: int, vertical: bool) -> Decomposition:
-    if n < 0:
-        raise DomainError("strip size must be nonnegative")
-    if n == 0:
-        return dec
-    return _module(_pieri_step(dec._terms, n, vertical), dec.ambient + n)
-
-
 def _pieri_step(table: dict, n: int, vertical: bool) -> dict:
     # One Pieri step on a table keyed by plain tuples.  A one-cell strip is
     # both horizontal and vertical, so a step of size 1 on either side adds
@@ -195,12 +178,6 @@ def _pieri_step(table: dict, n: int, vertical: bool) -> dict:
         for mu in _cells_above(lam) if n == 1 else strips(lam, n):
             out[mu] = get(mu, 0) + mult
     return out
-
-
-def _module(table: dict, ambient: int) -> Decomposition:
-    # the kernel's plain-tuple keys become partitions once, at the boundary
-    wrap = Partition._from_valid
-    return Decomposition._from_valid({wrap(mu): mult for mu, mult in table.items()}, ambient)
 
 
 def outer_product(d1: Decomposition, d2: Decomposition) -> Decomposition:
@@ -230,7 +207,10 @@ def _split_module(triv: Partition, sign: Partition) -> Decomposition:
         table = _pieri_step(table, p, False)
     for q in sign:
         table = _pieri_step(table, q, True)
-    return _module(table, triv.weight + sign.weight)
+    # the kernel's plain-tuple keys become partitions once, at the boundary
+    wrap = Partition._from_valid
+    terms = {wrap(mu): mult for mu, mult in table.items()}
+    return Decomposition._from_valid(terms, triv.weight + sign.weight)
 
 
 def split_module(triv: Sequence[int], sign: Sequence[int]) -> Decomposition:

@@ -30,7 +30,10 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         if type(parts) is cls:
             return parts
-        parts = tuple(parts)
+        try:
+            parts = tuple(parts)
+        except TypeError:
+            raise DomainError(f"a partition is a sequence of parts, got {parts!r}") from None
         previous = None
         for p in parts:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
@@ -48,10 +51,6 @@ class Partition(tuple):
     @property
     def weight(self) -> int:
         return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
 
     def part(self, i: int) -> int:
         """The ``i``-th part (0-based), zero-padded beyond the length."""
@@ -229,15 +228,6 @@ def dominates(mu: Sequence[int], lam: Sequence[int]) -> bool:
         if sum_mu < sum_lam:
             return False
     return True
-
-
-def count_partition_tuples(weights: Sequence[int], max_lengths: Sequence[int]) -> int:
-    if len(weights) != len(max_lengths):
-        raise DomainError("weight tuple and length-bound tuple must have equal arity")
-    total = 1
-    for k, d in zip(weights, max_lengths):
-        total *= count_partitions(k, d)
-    return total
 
 
 def splits(lam: Sequence[int]) -> list[tuple[Partition, Partition]]:

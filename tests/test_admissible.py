@@ -131,6 +131,8 @@ def test_admissible_set_record_fields():
     # membership coerces plain sequences and refuses what is no partition
     assert (5,) in iset and [1, 1, 1, 1, 1] in iset
     assert (1, 4) not in iset and PartitionTuple([(5,)]) not in iset
+    for value in (5, None, 2.5, "abc"):
+        assert (value in admissible_set(3, 1, 1)) is False
 
 
 def test_membership_helper_agrees_with_enumeration():

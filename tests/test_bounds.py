@@ -1,7 +1,7 @@
 import itertools
 from collections import Counter
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -14,7 +14,6 @@ from isotypic import (
     PartitionTuple,
     affine_multiplicity_bound,
     complex_multiplicity_bound,
-    count_partition_tuples,
     count_partitions,
     enumerate_partitions,
     equivariant_bound,
@@ -265,13 +264,9 @@ def test_enumeration_cap():
 
 
 def test_workers_do_not_change_values():
-    params = BoundParams((8,), (1,), 2)
-    base = affine_multiplicity_bound((5, 3), params).value
-    for workers in (2, 4):
-        assert affine_multiplicity_bound((5, 3), params, workers=workers).value == base
-    assert equivariant_bound((8,), (1,), 2, workers=3).value == equivariant_bound(
-        (8,), (1,), 2
-    ).value
+    base = equivariant_bound((8,), (1,), 2).value
+    for workers in (2, 3):
+        assert equivariant_bound((8,), (1,), 2, workers=workers).value == base
 
 
 def test_report_json_shape():
@@ -468,7 +463,7 @@ def test_term_cap_refuses_before_the_walk(monkeypatch):
     [((7,), (2,)), ((7, 3), (2, 2)), ((6, 4, 2), (2, 3, 1)), ((12, 9), (4, 8))],
 )
 def test_term_cap_is_the_product_of_block_counts(weights, thresholds):
-    total = count_partition_tuples(weights, thresholds)
+    total = prod(count_partitions(k, t) for k, t in zip(weights, thresholds))
     bounds._check_term_cap(weights, thresholds, total)
     with pytest.raises(EnumerationCapExceeded):
         bounds._check_term_cap(weights, thresholds, total - 1)

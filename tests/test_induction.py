@@ -16,14 +16,15 @@ from isotypic import (
     max_split_multiplicities,
     oracle_count_ssyt,
     outer_product,
-    pieri_col,
-    pieri_row,
     sign_twist,
+    specht_dim,
     split_module,
     split_multiplicity,
     splits,
     young_module,
 )
+from isotypic.induction import _pieri_step
+from isotypic.partitions import _conjugate
 from isotypic.tableaux import _peel, _split_steps
 from kostka_lr import kostka_lr_split_multiplicity
 
@@ -34,6 +35,15 @@ def decomposition_strategy(draw, max_weight=6):
     keys = enumerate_partitions(k)
     mults = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=len(keys), max_size=len(keys)))
     return Decomposition(dict(zip(keys, mults)), ambient=k)
+
+
+def _table(dec):
+    # a decomposition as a table of the forward kernel, keyed by plain tuples
+    return {tuple(key): mult for key, mult in dec.items()}
+
+
+def _conjugate_table(table):
+    return {_conjugate(lam): mult for lam, mult in table.items()}
 
 
 def test_decomposition_basics():
@@ -116,39 +126,39 @@ def test_young_module_is_built_once_and_left_as_built():
 
 
 def test_pieri_row_examples():
-    one = irreducible((1,))
-    stepped = pieri_row(one, 1)
-    assert stepped[(2,)] == 1 and stepped[(1, 1)] == 1
+    assert _pieri_step({(1,): 1}, 1, False) == {(2,): 1, (1, 1): 1}
     for k in range(1, 5):
         for n in range(0, 4):
-            dec = pieri_row(irreducible((k,)), n)
-            expected = [Partition((k + n - j, j)) if j else Partition((k + n,)) for j in range(min(n, k) + 1)]
-            assert dec.support() == sorted(expected, reverse=True)
-    dec = irreducible((2, 1))
-    assert pieri_row(dec, 0) is dec
+            stepped = _pieri_step({(k,): 1}, n, False)
+            expected = {(k + n - j, j) if j else (k + n,): 1 for j in range(min(n, k) + 1)}
+            assert stepped == expected
+    table = {(2, 1): 3, (3,): 1}
+    assert _pieri_step(table, 0, False) == table
 
 
 def test_pieri_col_examples():
-    one = irreducible((1,))
-    stepped = pieri_col(one, 1)
-    assert stepped[(2,)] == 1 and stepped[(1, 1)] == 1
-    two = pieri_col(irreducible((2,)), 2)
-    assert two.support() == [Partition((3, 1)), Partition((2, 1, 1))]
+    assert _pieri_step({(1,): 1}, 1, True) == {(2,): 1, (1, 1): 1}
+    assert _pieri_step({(2,): 1}, 2, True) == {(3, 1): 1, (2, 1, 1): 1}
+    table = {(2, 1): 3, (3,): 1}
+    assert _pieri_step(table, 0, True) == table
 
 
 @given(decomposition_strategy(), st.integers(min_value=0, max_value=3))
 def test_pieri_transpose_duality(dec, n):
-    assert pieri_col(dec, n) == sign_twist(pieri_row(sign_twist(dec), n))
+    table = _table(dec)
+    assert _pieri_step(table, n, True) == _conjugate_table(
+        _pieri_step(_conjugate_table(table), n, False)
+    )
 
 
 def test_pieri_scales_dimension_by_binomial():
     for k in range(0, 6):
         for lam in enumerate_partitions(k):
-            dec = irreducible(lam)
             for n in range(0, 4):
-                target = specht = dec.total_dim() * comb(k + n, n)
-                assert pieri_row(dec, n).total_dim() == target
-                assert pieri_col(dec, n).total_dim() == target
+                target = specht_dim(lam) * comb(k + n, n)
+                for vertical in (False, True):
+                    stepped = _pieri_step({tuple(lam): 1}, n, vertical)
+                    assert Decomposition(stepped, ambient=k + n).total_dim() == target
 
 
 def test_outer_product_examples():
@@ -157,8 +167,8 @@ def test_outer_product_examples():
     assert prod[(2,)] == 1 and prod[(1, 1)] == 1
     for m in range(1, 4):
         for n in range(1, 4):
-            assert outer_product(irreducible((m,)), irreducible((n,))) == pieri_row(
-                irreducible((m,)), n
+            assert outer_product(irreducible((m,)), irreducible((n,))) == young_module(
+                sorted((m, n), reverse=True)
             )
 
 
@@ -194,20 +204,21 @@ def test_split_module_dimension():
 def test_split_module_step_order_is_immaterial():
     from itertools import permutations
 
-    empty = Decomposition({Partition(): 1}, ambient=0)
     for triv, sign in [((3, 2), (2, 1)), ((2, 2), (1, 1)), ((4,), (2, 2))]:
-        base = split_module(triv, sign)
+        base = _table(split_module(triv, sign))
         for triv_order in set(permutations(triv)):
             for sign_order in set(permutations(sign)):
-                dec = empty
+                table = {(): 1}
                 for p in triv_order:
-                    dec = pieri_row(dec, p)
+                    table = _pieri_step(table, p, False)
                 for q in sign_order:
-                    dec = pieri_col(dec, q)
-                assert dec == base
+                    table = _pieri_step(table, q, True)
+                assert table == base
     # interleaving row and column steps reorders the inducing factors only
-    interleaved = pieri_col(pieri_row(pieri_col(pieri_row(empty, 3), 2), 2), 1)
-    assert interleaved == split_module((3, 2), (2, 1))
+    interleaved = {(): 1}
+    for n, vertical in ((3, False), (2, True), (2, False), (1, True)):
+        interleaved = _pieri_step(interleaved, n, vertical)
+    assert interleaved == _table(split_module((3, 2), (2, 1)))
 
 
 def test_split_module_swapping_sides_is_a_sign_twist():
@@ -254,13 +265,11 @@ def test_dual_path_split_multiplicities():
 
 def test_modules_are_keyed_by_partitions():
     # the forward kernel runs on plain tuples; its outputs do not
-    empty = Decomposition({Partition(): 1}, ambient=0)
     modules = [
         young_module((3, 2, 1, 1)),
         split_module((2, 1), (2, 1)),
-        pieri_row(young_module((2, 1)), 2),
-        pieri_col(young_module((2, 1)), 2),
-        pieri_row(pieri_col(empty, 1), 1),
+        split_module((2, 1), (2,)),
+        split_module((1,), (1,)),
     ]
     for dec in modules:
         assert all(type(key) is Partition for key in dec.support())

@@ -1,6 +1,7 @@
 import time
 from collections import Counter
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,6 @@ from isotypic import (
     ParseError,
     Partition,
     PartitionTuple,
-    count_partition_tuples,
     count_partitions,
     dominates,
     enumerate_partitions,
@@ -53,9 +53,11 @@ def test_partition_validation():
         Partition((2, 0))
     with pytest.raises(DomainError):
         Partition((2, -1))
+    for value in (5, None, 2.5):
+        with pytest.raises(DomainError):
+            Partition(value)
     assert Partition() == ()
     assert Partition((3, 1)).weight == 4
-    assert Partition((3, 1)).length == 2
 
 
 def descending_partitions(k):
@@ -228,17 +230,7 @@ def test_length_profile_total_is_partition_count_product():
                 for counts, length in zip(by_length, profile):
                     term *= counts[length]
                 total += term
-            assert count_partition_tuples(weights, bounds) == total
-
-
-def test_partition_tuple_enumeration():
-    # the bounded tuples are the product of the per-block enumerations
-    for weights, max_lengths in [((2,), (1,)), ((3,), (2,)), ((2, 2), (2, 1)), ((4, 4), (4, 2))]:
-        tuples = list(product(*map(enumerate_partitions, weights, max_lengths)))
-        assert count_partition_tuples(weights, max_lengths) == len(tuples)
-    assert count_partition_tuples((4, 4), (4, 2)) == 5 * 3
-    with pytest.raises(DomainError):
-        count_partition_tuples((3, 3), (1,))
+            assert prod(count_partitions(k, b) for k, b in zip(weights, bounds)) == total
 
 
 def test_partition_tuple_weights():
