@@ -69,13 +69,28 @@ def _staircase(mu: Sequence[int]) -> int:
     return best
 
 
-class AdmissibleSet(Record):
+class _MemberOrder(Record):
+    # One slot outside the record's fields: the members in canonical order,
+    # set only when the record is built from a list already in that order.
+    # Equality, hash, repr and pickling see only the subclass's
+    # ``__slots__``, so a copy or an unpickled record sorts again.
+    __slots__ = ("_order",)
+
+
+class AdmissibleSet(_MemberOrder):
     """The admissible set I(k, d, m) together with its parameters."""
 
     __slots__ = ("k", "d", "m", "members")
 
     def __init__(self, k: int, d: int, m: int, members: frozenset):
         self._set(k, d, m, members)
+
+    @classmethod
+    def _in_order(cls, k: int, d: int, m: int, members: list) -> "AdmissibleSet":
+        # members already in canonical (descending) order, which is kept
+        self = cls(k, d, m, frozenset(members))
+        object.__setattr__(self, "_order", members)
+        return self
 
     @property
     def threshold(self) -> int:
@@ -91,7 +106,9 @@ class AdmissibleSet(Record):
         return len(self.members)
 
     def sorted_members(self) -> list:
-        return sorted(self.members, reverse=True)
+        """The members in canonical (descending) order, as a new list."""
+        order = getattr(self, "_order", None)
+        return sorted(self.members, reverse=True) if order is None else list(order)
 
 
 def admissible_set(k: int, d: int, m: int) -> AdmissibleSet:
@@ -104,7 +121,7 @@ def admissible_set(k: int, d: int, m: int) -> AdmissibleSet:
     # a member
     if 2 * k >= (t + 1) * (t + 2):
         members = [mu for mu in members if _staircase(mu) <= t]
-    return AdmissibleSet(k, d, m, frozenset(members))
+    return AdmissibleSet._in_order(k, d, m, members)
 
 
 def is_admissible(mu: Sequence[int], d: int, m: int) -> bool:

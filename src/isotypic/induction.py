@@ -85,10 +85,17 @@ class Decomposition:
         return sorted(self._terms, reverse=True)
 
     def __getitem__(self, key) -> int:
+        """The multiplicity of ``key``, 0 off the support; a ``key`` that is
+        not a partition raises ``DomainError``."""
         return self._terms.get(Partition(key), 0)
 
     def __contains__(self, key) -> bool:
-        return Partition(key) in self._terms
+        """Whether ``key`` is in the support; a value that is not a partition
+        is not, as in ``AdmissibleSet``."""
+        try:
+            return Partition(key) in self._terms
+        except DomainError:
+            return False
 
     def __len__(self) -> int:
         return len(self._terms)

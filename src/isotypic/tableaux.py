@@ -6,29 +6,33 @@ empty one, a layer of shapes per strip down to the first one-cell strip.
 A one-cell strip is both horizontal and vertical, and c of them empty a
 shape rho of weight c in f^rho ways (a standard tableau read backwards),
 so the ones that end a peel are counted by the hook-length formula
-instead of layer by layer.  Strips are enumerated by two loops that scan
-the shape's runs of equal rows, one adding a horizontal strip and one
-removing it; each stops a shape as soon as its cells run out and copies
-the rows below as one slice.  A vertical strip is the conjugate of a
-horizontal one, so the vertical enumerators transpose, run the horizontal
-loop and transpose back.  No enumerator recurses, so tall and wide shapes
-cost no recursion depth.
+instead of layer by layer.  Strips are enumerated by four loops, one per
+side and direction, that scan the shape's runs of equal rows depth first;
+each stops a shape as soon as its cells run out and copies the rows below
+as one slice.  A horizontal strip holds at most one cell per column, so
+in a run only the top row can grow and only the lowest row can shrink.  A
+vertical strip holds at most one cell per row, so in a run the top j rows
+grow by a cell each or the lowest j rows shrink by a cell each, and the
+cells left after the last run start new rows of 1.  No enumerator
+recurses or transposes, so tall and wide shapes cost no recursion depth.
 
-The forward enumerators (``_horizontal_strips_above``,
-``_vertical_strips_above`` and the one-cell step ``_cells_above``) are the
-kernel of the forward Pieri build in ``induction``: they take and return
-plain tuples and cache nothing.  The one-cell step adds a cell at each
-addable corner, and serves both sides, since a one-cell strip is both
-horizontal and vertical (the fact ``_one_cell_tail`` uses on the peel
-side).  The backward enumerators, the Specht dimensions and the LR
-coefficients keep their results in unbounded caches keyed by partitions;
-everything else ``_peel`` builds lives for one call.
+Every enumerator takes and returns plain tuples, in descending order.  The
+forward ones (``_horizontal_strips_above``, ``_vertical_strips_above`` and
+the one-cell step ``_cells_above``) are the kernel of the forward Pieri
+build in ``induction`` and cache nothing.  The one-cell step adds a cell
+at each addable corner, and serves both sides, since a one-cell strip is
+both horizontal and vertical (the fact ``_one_cell_tail`` uses on the
+peel side).  The backward enumerators, the Specht dimensions and the LR
+coefficients keep their results in unbounded caches; a plain tuple and a
+partition with the same parts share an entry, since they compare and hash
+alike.  Everything else ``_peel`` builds lives for one call.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError
@@ -47,11 +51,15 @@ def hook_lengths(lam: Sequence[int]) -> dict[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def _specht_dim(lam: Partition) -> int:
+def _specht_dim(lam: tuple[int, ...]) -> int:
+    # a plain tuple or a partition: the peel asks for the dimensions of the
+    # plain-tuple shapes it leaves, and the column lengths give the hooks
+    columns = _conjugate(lam)
     product = 1
-    for h in hook_lengths(lam).values():
-        product *= h
-    quotient, remainder = divmod(factorial(lam.weight), product)
+    for i, part in enumerate(lam):
+        for j in range(part):
+            product *= part - j + columns[j] - i - 1
+    quotient, remainder = divmod(factorial(sum(lam)), product)
     if remainder:
         raise AssertionError(f"hook-length division not exact for {lam}")
     return quotient
@@ -101,6 +109,37 @@ def _horizontal_strips_above(lam: tuple[int, ...], n: int) -> tuple[tuple[int, .
     return tuple(out)
 
 
+def _vertical_strips_above(lam: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    # A vertical strip adds at most one cell per row, so in a run of equal
+    # rows the rows that grow are the top ones of the run, each by one cell,
+    # and the cells left after the last run start new rows of 1 (which the
+    # last part, at least 1, always allows).  Depth first over runs, more
+    # cells to higher runs first, lists the shapes in descending order; a
+    # shape is done once its cells run out, and the rows below are then
+    # copied from lam.
+    length = len(lam)
+    out: list[tuple[int, ...]] = []
+    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), n)]  # (row, rows, cells left)
+    push, pop = stack.append, stack.pop
+    while stack:
+        i, rows, left = pop()
+        if not left:
+            out.append(rows + lam[i:])
+        elif i < length:
+            part = lam[i]
+            end = i + 1
+            while end < length and lam[end] == part:
+                end += 1
+            most = end - i if end - i < left else left
+            grow = 0
+            while grow <= most:
+                push((end, rows + (part + 1,) * grow + lam[i + grow:end], left - grow))
+                grow += 1
+        else:
+            out.append(rows + (1,) * left)
+    return tuple(out)
+
+
 def _cells_above(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
     # The one-cell Pieri step, on either side: a one-cell strip is both
     # horizontal and vertical.  A cell can go at the end of the first row of
@@ -117,7 +156,7 @@ def _cells_above(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _horizontal_strips_below(mu: Partition, n: int) -> tuple[Partition, ...]:
+def _horizontal_strips_below(mu: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
     # A horizontal strip takes at most one cell per column, so in a run of
     # equal rows only the lowest row can lose cells, down to the next
     # shorter part.  Below a run whose next part is q, the later runs can
@@ -128,13 +167,13 @@ def _horizontal_strips_below(mu: Partition, n: int) -> tuple[Partition, ...]:
     # from mu.  Only the empty shape, asked for a nonempty strip, runs out
     # of rows with cells left, and it has no strip to give.
     length = len(mu)
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
     stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), n)]  # (row, rows, cells left)
     push, pop = stack.append, stack.pop
     while stack:
         i, rows, left = pop()
         if not left:
-            out.append(Partition._from_valid(rows + mu[i:]))
+            out.append(rows + mu[i:])
         elif i < length:
             part = mu[i]
             end = i + 1
@@ -150,21 +189,37 @@ def _horizontal_strips_below(mu: Partition, n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-# A vertical strip is the conjugate of a horizontal one (tensoring with the
-# sign swaps h_r and e_r).  The vertical enumerators transpose their input,
-# run the horizontal loop and sort the transposed outputs back into
-# descending order, which conjugation does not keep.  The forward one works
-# on plain tuples; the backward one calls the uncached loop
-# (``__wrapped__``), so the conjugate-space lists take no cache entries.
-def _vertical_strips_above(lam: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    shapes = _horizontal_strips_above(_conjugate(lam), n)
-    return tuple(sorted(map(_conjugate, shapes), reverse=True))
-
-
 @lru_cache(maxsize=None)
-def _vertical_strips_below(mu: Partition, n: int) -> tuple[Partition, ...]:
-    shapes = _horizontal_strips_below.__wrapped__(mu.transpose(), n)
-    return tuple(sorted(map(Partition.transpose, shapes), reverse=True))
+def _vertical_strips_below(mu: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    # A vertical strip takes at most one cell per row, so in a run of equal
+    # rows the rows that shrink are the lowest ones of the run, each by one
+    # cell (a row of 1 goes).  The later runs can give up one cell per row,
+    # so a run takes at least the cells that their rows cannot, and every
+    # state kept ends in a shape.  Depth first over runs, fewer cells from
+    # higher runs first, lists the shapes in descending order; a shape is
+    # done once its cells run out, and the rows below are then copied from
+    # mu.  Only the empty shape, asked for a nonempty strip, runs out of
+    # rows with cells left, and it has no strip to give.
+    length = len(mu)
+    out: list[tuple[int, ...]] = []
+    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), n)]  # (row, rows, cells left)
+    push, pop = stack.append, stack.pop
+    while stack:
+        i, rows, left = pop()
+        if not left:
+            out.append(rows + mu[i:])
+        elif i < length:
+            part = mu[i]
+            end = i + 1
+            while end < length and mu[end] == part:
+                end += 1
+            take = end - i if end - i < left else left
+            least = left - (length - end) if left > length - end else 0
+            lower = (part - 1,) if part > 1 else ()
+            while take >= least:
+                push((end, rows + mu[i:end - take] + lower * take, left - take))
+                take -= 1
+    return tuple(out)
 
 
 def _split_steps(triv: Sequence[int], sign: Sequence[int] = ()) -> list[tuple[int, bool]]:
@@ -178,9 +233,10 @@ def _peel_step(table: dict, size: int, vertical: bool) -> dict:
     # one layer of the peel: every way to remove one strip from each shape
     strips = _vertical_strips_below if vertical else _horizontal_strips_below
     out: dict = {}
+    get = out.get
     for nu, paths in table.items():
         for rho in strips(nu, size):
-            out[rho] = out.get(rho, 0) + paths
+            out[rho] = get(rho, 0) + paths
     return out
 
 
@@ -193,7 +249,7 @@ def _one_cell_tail(table: dict) -> int:
     # A one-cell strip is both horizontal and vertical, and peeling a shape
     # of weight c cell by cell down to the empty one is a standard tableau
     # read backwards: f^rho ways, by the hook-length formula.
-    return sum(paths * _specht_dim(rho) for rho, paths in table.items())
+    return sum(map(mul, map(_specht_dim, table), table.values()))
 
 
 def _peel(mu: Partition, steps: Sequence[tuple[int, bool]]) -> int:

@@ -449,6 +449,41 @@ def test_block_walk_never_peels_a_one_cell_strip(monkeypatch):
     assert min(layers) > 0
 
 
+def count_peel_steps(monkeypatch, mu, params):
+    calls = []
+    peel_step = bounds._peel_step
+
+    def counted(table, size, vertical):
+        calls.append(size)
+        return peel_step(table, size, vertical)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_peel_step", counted)
+        affine_multiplicity_bound(mu, params)
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "tail,d,m",
+    [((1, 1), 1, 1), ((5, 3, 2), 1, 2), ((2, 1), 1, 2)],  # T = 2, 4, 4
+)
+def test_block_walk_work_grows_polynomially(tail, d, m, monkeypatch):
+    # the target (k - |tail|, *tail) in Par(k, T): Theta(k^(T-1)) peel
+    # steps, so doubling k multiplies them by about 2^(T-1), by no more
+    # than 2^T
+    t = (2 * d) ** m
+    counts = [
+        count_peel_steps(monkeypatch, (k - sum(tail),) + tail, BoundParams((k,), (m,), d))
+        for k in (25, 50)
+    ]
+    assert 0 < counts[1] <= 2**t * counts[0]
+
+
+def test_block_walk_peel_steps_at_k_100(monkeypatch):
+    params = BoundParams((100,), (2,), 1)
+    assert count_peel_steps(monkeypatch, (90, 5, 3, 2), params) == 7_407
+
+
 def test_term_cap_refuses_before_the_walk(monkeypatch):
     def walk(*args):
         raise AssertionError("the block walk started")

@@ -69,6 +69,16 @@ def test_decomposition_basics():
     assert not empty and str(empty) == "0"
 
 
+def test_membership_refuses_what_is_no_partition():
+    # membership answers False, as an admissible set's does; lookup raises
+    dec = young_module((2, 1))
+    assert (2, 1) in dec and [3] in dec and (1, 1, 1) not in dec
+    for value in ((1, 2), 5, "x"):
+        assert (value in dec) is False
+        with pytest.raises(DomainError):
+            dec[value]
+
+
 def test_decomposition_arithmetic():
     a = Decomposition({(2,): 1})
     b = Decomposition({(2,): 2, (1, 1): 1})

@@ -15,12 +15,13 @@ from isotypic import (
     oracle_lr,
     specht_dim,
 )
-from isotypic.partitions import splits
+from isotypic.partitions import _conjugate, splits
 from isotypic.tableaux import (
     _cells_above,
     _horizontal_strips_above,
     _horizontal_strips_below,
     _peel,
+    _specht_dim,
     _split_steps,
     _vertical_strips_above,
     _vertical_strips_below,
@@ -215,8 +216,8 @@ def test_one_cell_step_is_both_strips():
 
 
 def test_strips_of_tall_and_wide_shapes():
-    # the enumerators loop over runs of equal rows, and the vertical ones
-    # transpose, so neither a tall nor a wide shape adds recursion depth
+    # the enumerators loop over runs of equal rows, so neither a tall nor a
+    # wide shape adds recursion depth
     tall, wide = Partition((1,) * 1500), Partition((1500,))
     assert _horizontal_strips_above(tall, 2) == ((3,) + (1,) * 1499, (2,) + (1,) * 1500)
     assert _vertical_strips_above(wide, 2) == ((1501, 1), (1500, 1, 1))
@@ -244,6 +245,33 @@ def test_strip_removals_are_complete_and_descending():
                 assert list(_vertical_strips_below(mu, n)) == [
                     lam for lam in below if is_vertical_strip(mu, lam)
                 ]
+
+
+def conjugated_vertical_strips(horizontal, lam, n):
+    """Reference: a vertical strip is the conjugate of a horizontal one, so
+    transpose, run the horizontal loop, transpose back and sort."""
+    return tuple(sorted(map(_conjugate, horizontal(_conjugate(lam), n)), reverse=True))
+
+
+def test_vertical_strips_match_the_conjugation_reference():
+    # the vertical enumerators take their rows run by run, with no transpose
+    for k in range(0, 12):
+        for lam in enumerate_partitions(k):
+            plain = tuple(lam)
+            for n in range(0, k + 2):
+                above = _vertical_strips_above(plain, n)
+                below = _vertical_strips_below(plain, n)
+                assert above == conjugated_vertical_strips(_horizontal_strips_above, plain, n)
+                assert below == conjugated_vertical_strips(
+                    _horizontal_strips_below.__wrapped__, plain, n
+                )
+                # the reference is sorted, so equal lists are descending
+                horizontal = _horizontal_strips_below(plain, n)
+                assert all(type(shape) is tuple for shape in above + below + horizontal)
+            assert _specht_dim(plain) == specht_dim(lam)
+    # a 1500-row run loses its lowest rows; a 1500-cell row loses one cell
+    assert _vertical_strips_below((1,) * 1500, 2) == ((1,) * 1498,)
+    assert _vertical_strips_below((1500,), 1) == ((1499,),)
 
 
 def test_kostka_peel_at_large_sizes():
