@@ -76,7 +76,7 @@ from .partitions import (
     splits,
 )
 from .records import Record
-from .tableaux import _last_strip, _one_cell_tail, _peel, _peel_step, _split_steps
+from .tableaux import _last_strip, _one_cell_tail, _peel, _peel_step, _split_strips
 
 DEFAULT_TERM_CAP = 10_000_000
 
@@ -248,7 +248,7 @@ def g_factor(
         # the side of a one-cell strip does not change the count, so only
         # the splits with every 1 on the trivial side are peeled
         mult = max(
-            _peel(mu, _split_steps(a, b)) for a, b in splits(lam) if 1 not in b
+            _peel(mu, _split_strips(a, b)) for a, b in splits(lam) if 1 not in b
         )
         if mult == 0:
             return 0

@@ -8,12 +8,14 @@ share.  All combinators return fresh values.
 Young modules and split modules are built forward from the empty shape by
 one Pieri step per part (``_pieri_step``), the only forward kernel; no
 single step is public.  The running table is keyed by plain tuples, and
-its keys become partitions once, when the finished module is wrapped; a
-step of one cell, on either side, adds a cell at each addable corner
-(``tableaux._cells_above``).  One unbounded cache, ``_split_module``,
-keeps each module by its trivial and sign sides; a Young module is the
-split module with no sign side.  Callers share the cached values, which
-no combinator changes.
+its keys become partitions once, when the finished module is wrapped.  A
+step of one cell, on either side, adds a cell at each addable corner in
+the kernel's own loop; a longer step calls the strip enumerators of
+``tableaux``.  One unbounded cache, ``_split_module``, keeps each module
+by its trivial and sign sides; a Young module is the split module with no
+sign side.  Callers share the cached values, which no combinator changes.
+A single split multiplicity is peeled backwards instead
+(``tableaux._peel``), from a bounded memo.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DomainError
 from .partitions import Partition, enumerate_partitions, parse_partition, splits
 from .tableaux import (
-    _cells_above,
     _horizontal_strips_above,
     _peel,
-    _split_steps,
+    _split_strips,
     _vertical_strips_above,
     lr_coefficient,
     specht_dim,
@@ -177,12 +178,28 @@ def young_module(lam: Sequence[int]) -> Decomposition:
 def _pieri_step(table: dict, n: int, vertical: bool) -> dict:
     # One Pieri step on a table keyed by plain tuples.  A one-cell strip is
     # both horizontal and vertical, so a step of size 1 on either side adds
-    # a cell at each addable corner.
-    strips = _vertical_strips_above if vertical else _horizontal_strips_above
+    # a cell at the end of the first row of each run of equal rows, or
+    # starts a new row.  A shape's rows are copied to one list, a child is
+    # that list with one row grown, frozen and added to the table on the
+    # spot, and the row is put back; the children come in descending order.
     out: dict = {}
     get = out.get
+    if n == 1:
+        for lam, mult in table.items():
+            rows = list(lam)
+            above = 0
+            for i, part in enumerate(lam):
+                if part != above:
+                    rows[i] = part + 1
+                    mu = tuple(rows)
+                    rows[i] = above = part
+                    out[mu] = get(mu, 0) + mult
+            mu = lam + (1,)
+            out[mu] = get(mu, 0) + mult
+        return out
+    strips = _vertical_strips_above if vertical else _horizontal_strips_above
     for lam, mult in table.items():
-        for mu in _cells_above(lam) if n == 1 else strips(lam, n):
+        for mu in strips(lam, n):
             out[mu] = get(mu, 0) + mult
     return out
 
@@ -237,7 +254,9 @@ def split_multiplicity(mu: Sequence[int], triv: Sequence[int], sign: Sequence[in
     """Multiplicity of ``mu`` in the split module, counted backwards from
     ``mu`` by the strip peel (``tableaux._peel``) instead of building the
     module: one horizontal strip per ``triv`` part and one vertical strip per
-    ``sign`` part, largest first.
+    ``sign`` part, largest first.  The peel's memo answers a repeat; a part
+    1 has no side, so splits that differ only in where their ones sit, and
+    the Kostka number with the same content, share its entry.
     """
     mu = Partition(mu)
     triv = Partition(triv)
@@ -246,7 +265,7 @@ def split_multiplicity(mu: Sequence[int], triv: Sequence[int], sign: Sequence[in
         raise DomainError(
             f"weight mismatch: {mu.weight} != {triv.weight} + {sign.weight}"
         )
-    return _peel(mu, _split_steps(triv, sign))
+    return _peel(mu, _split_strips(triv, sign))
 
 
 def sign_twist(dec: Decomposition) -> Decomposition:

@@ -17,15 +17,17 @@ cells left after the last run start new rows of 1.  No enumerator
 recurses or transposes, so tall and wide shapes cost no recursion depth.
 
 Every enumerator takes and returns plain tuples, in descending order.  The
-forward ones (``_horizontal_strips_above``, ``_vertical_strips_above`` and
-the one-cell step ``_cells_above``) are the kernel of the forward Pieri
-build in ``induction`` and cache nothing.  The one-cell step adds a cell
-at each addable corner, and serves both sides, since a one-cell strip is
-both horizontal and vertical (the fact ``_one_cell_tail`` uses on the
-peel side).  The backward enumerators, the Specht dimensions and the LR
-coefficients keep their results in unbounded caches; a plain tuple and a
-partition with the same parts share an entry, since they compare and hash
-alike.  Everything else ``_peel`` builds lives for one call.
+forward ones (``_horizontal_strips_above``, ``_vertical_strips_above``) are
+the kernel of the forward Pieri build in ``induction`` and cache nothing;
+that build takes its one-cell steps itself, a cell at each addable corner.
+The backward enumerators, the Specht dimensions and the LR coefficients
+keep their results in unbounded caches; a plain tuple and a partition with
+the same parts share an entry, since they compare and hash alike.  The peel
+itself answers from a bounded memo of ``_PEEL_MEMO`` entries, keyed by the
+shape and its strips of two or more cells (``_split_strips``): the number
+of one-cell steps follows from the weight, and a one-cell step has no
+side, so Kostka numbers, split multiplicities and the bounds' check path
+share its entries.  The layers a peel builds live for one call.
 """
 
 from __future__ import annotations
@@ -140,21 +142,6 @@ def _vertical_strips_above(lam: tuple[int, ...], n: int) -> tuple[tuple[int, ...
     return tuple(out)
 
 
-def _cells_above(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # The one-cell Pieri step, on either side: a one-cell strip is both
-    # horizontal and vertical.  A cell can go at the end of the first row of
-    # each run of equal rows, or start a new row; in that order the shapes
-    # come out descending.
-    out = []
-    above = 0
-    for i, part in enumerate(lam):
-        if part != above:
-            out.append(lam[:i] + (part + 1,) + lam[i + 1:])
-            above = part
-    out.append(lam + (1,))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _horizontal_strips_below(mu: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
     # A horizontal strip takes at most one cell per column, so in a run of
@@ -222,11 +209,12 @@ def _vertical_strips_below(mu: tuple[int, ...], n: int) -> tuple[tuple[int, ...]
     return tuple(out)
 
 
-def _split_steps(triv: Sequence[int], sign: Sequence[int] = ()) -> list[tuple[int, bool]]:
-    # (size, vertical) strip steps, largest first; horizontal first at equal sizes
-    steps = [(p, False) for p in triv] + [(q, True) for q in sign]
-    steps.sort(key=lambda step: (-step[0], step[1]))
-    return steps
+def _split_strips(triv: Sequence[int], sign: Sequence[int] = ()) -> tuple[tuple[int, bool], ...]:
+    # the peel's (size, vertical) strips of two or more cells, largest
+    # first, horizontal first at equal sizes; the parts of 1 are left out
+    strips = [(p, False) for p in triv if p > 1] + [(q, True) for q in sign if q > 1]
+    strips.sort(key=lambda step: (-step[0], step[1]))
+    return tuple(strips)
 
 
 def _peel_step(table: dict, size: int, vertical: bool) -> dict:
@@ -252,9 +240,17 @@ def _one_cell_tail(table: dict) -> int:
     return sum(map(mul, map(_specht_dim, table), table.values()))
 
 
-def _peel(mu: Partition, steps: Sequence[tuple[int, bool]]) -> int:
+# Entries of the peel memo.  An entry is a shape, a few strips and an
+# int, so the memo stays small in a long-lived process, where the forward
+# caches grow without bound.
+_PEEL_MEMO = 4096
+
+
+@lru_cache(maxsize=_PEEL_MEMO)
+def _peel(mu: tuple[int, ...], strips: tuple[tuple[int, bool], ...]) -> int:
     """Number of ways to peel ``mu`` down to the empty shape by one strip per
-    ``(size, vertical)`` step; the sizes must add up to ``mu``'s weight.
+    ``(size, vertical)`` step of ``strips``, each of two or more cells, and
+    one one-cell strip per cell of ``mu`` they leave.
 
     Skewing by h_r (removing a horizontal r-strip) commutes with skewing by
     e_r (removing a vertical one), so the count does not depend on the order
@@ -263,24 +259,24 @@ def _peel(mu: Partition, steps: Sequence[tuple[int, bool]]) -> int:
     it is the Kostka number K(mu, alpha).  With both it is the multiplicity
     of ``mu`` in the module induced from trivial factors on alpha and sign
     factors on beta: the mixed fillings of Berele-Regev (alpha|beta) hook
-    supertableaux, read backwards.  Callers order ``steps`` largest first
-    (``_split_steps``), which keeps the layers small; the peel stops as soon
-    as a layer is empty.  Only the strips of two or more cells are peeled
-    layer by layer: the one-cell steps, on either side and wherever they
-    stand, come last and count each shape left in closed form
-    (``_one_cell_tail``), and without them the last strip is counted in
-    closed form as a row or a column.
+    supertableaux, read backwards.  A one-cell strip is both horizontal and
+    vertical, so the side of a part 1 does not change the count, and
+    ``strips`` leaves the ones out; callers order them largest first
+    (``_split_strips``), which keeps the layers small, and the peel stops
+    as soon as a layer is empty.  The one-cell steps come last and count
+    each shape left in closed form (``_one_cell_tail``); without them the
+    last strip is counted in closed form as a row or a column.  Results
+    are kept in a bounded memo keyed by ``mu`` and ``strips``.
     """
-    if not steps:
-        return 1 if not mu else 0
-    strips = [step for step in steps if step[0] > 1]
-    ones = len(strips) < len(steps)
+    ones = sum(mu) > sum(size for size, _ in strips)
     table = {mu: 1}
     for size, vertical in strips if ones else strips[:-1]:
         table = _peel_step(table, size, vertical)
         if not table:
             return 0
-    return _one_cell_tail(table) if ones else _last_strip(table, *strips[-1])
+    if ones or not strips:  # no strips and no ones: the empty shape, f^() = 1
+        return _one_cell_tail(table)
+    return _last_strip(table, *strips[-1])
 
 
 def kostka(mu: Sequence[int], lam: Sequence[int]) -> int:
@@ -288,7 +284,9 @@ def kostka(mu: Sequence[int], lam: Sequence[int]) -> int:
 
     Rows weakly increase, columns strictly increase, and entry ``i`` appears
     ``lam[i-1]`` times.  The cells holding each entry form a horizontal
-    strip, so this is the strip peel with every strip horizontal.
+    strip, so this is the strip peel with every strip horizontal.  The
+    peel's memo answers a repeat, and the split multiplicity of ``mu``
+    with ``lam`` on the trivial side shares its entry.
     """
     mu = Partition(mu)
     lam = Partition(lam)
@@ -296,7 +294,7 @@ def kostka(mu: Sequence[int], lam: Sequence[int]) -> int:
         raise DomainError(
             f"shape and content must have equal weight, got {mu.weight} and {lam.weight}"
         )
-    return _peel(mu, _split_steps(lam))
+    return _peel(mu, _split_strips(lam))
 
 
 @lru_cache(maxsize=None)

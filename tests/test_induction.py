@@ -25,7 +25,7 @@ from isotypic import (
 )
 from isotypic.induction import _pieri_step
 from isotypic.partitions import _conjugate
-from isotypic.tableaux import _peel, _split_steps
+from isotypic.tableaux import _horizontal_strips_above, _peel, _split_strips
 from kostka_lr import kostka_lr_split_multiplicity
 
 
@@ -151,6 +151,18 @@ def test_pieri_col_examples():
     assert _pieri_step({(2,): 1}, 2, True) == {(3, 1): 1, (2, 1, 1): 1}
     table = {(2, 1): 3, (3,): 1}
     assert _pieri_step(table, 0, True) == table
+
+
+def test_one_cell_pieri_step_is_both_strips():
+    # the kernel's own corner loop serves the trivial and the sign side
+    for k in range(0, 13):
+        for lam in enumerate_partitions(k):
+            plain = tuple(lam)
+            expected = {mu: 1 for mu in _horizontal_strips_above(plain, 1)}
+            for vertical in (False, True):
+                stepped = _pieri_step({plain: 1}, 1, vertical)
+                assert stepped == expected
+                assert all(type(mu) is tuple for mu in stepped)
 
 
 @given(decomposition_strategy(), st.integers(min_value=0, max_value=3))
@@ -333,7 +345,7 @@ def split_case(draw, max_weight=10):
 @given(split_case())
 def test_peel_agrees_with_forward_pieri_and_kostka_lr(case):
     mu, triv, sign = case
-    peeled = _peel(mu, _split_steps(triv, sign))
+    peeled = _peel(mu, _split_strips(triv, sign))
     assert peeled == split_module(triv, sign)[mu] == split_multiplicity(mu, triv, sign)
 
 
@@ -360,8 +372,8 @@ def test_split_multiplicity_conjugation_swaps_sides(case):
     value = split_multiplicity(mu, triv, sign)
     assert value == split_multiplicity(mu.transpose(), sign, triv)
     # the peel of mu and the peel of its transpose, sides swapped, must agree
-    assert value == _peel(mu, _split_steps(triv, sign))
-    assert value == _peel(mu.transpose(), _split_steps(sign, triv))
+    assert value == _peel(mu, _split_strips(triv, sign))
+    assert value == _peel(mu.transpose(), _split_strips(sign, triv))
 
 
 def test_young_module_multiplicities_are_kostka_numbers():
@@ -374,6 +386,15 @@ def test_young_module_multiplicities_are_kostka_numbers():
             assert len(dec) == sum(1 for mu in shapes if kostka(mu, lam))
             for mu in shapes:
                 assert dec[mu] == kostka(mu, lam)
+
+
+def test_young_module_with_a_long_one_cell_tail():
+    # (3, 2, 1^r) ends in r one-cell Pieri steps, past the weights above
+    for r in range(0, 10):
+        lam = (3, 2) + (1,) * r
+        dec = young_module(lam)
+        for mu in enumerate_partitions(5 + r):
+            assert dec[mu] == kostka(mu, lam)
 
 
 def test_young_module_matches_tableau_oracle():

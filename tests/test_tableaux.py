@@ -14,15 +14,16 @@ from isotypic import (
     oracle_count_syt,
     oracle_lr,
     specht_dim,
+    split_multiplicity,
 )
 from isotypic.partitions import _conjugate, splits
 from isotypic.tableaux import (
-    _cells_above,
+    _PEEL_MEMO,
     _horizontal_strips_above,
     _horizontal_strips_below,
     _peel,
     _specht_dim,
-    _split_steps,
+    _split_strips,
     _vertical_strips_above,
     _vertical_strips_below,
 )
@@ -205,16 +206,6 @@ def test_strip_enumerations_are_complete():
                     assert (mu in vert) == is_vertical_strip(mu, lam)
 
 
-def test_one_cell_step_is_both_strips():
-    # the forward kernel's corner loop serves the trivial and the sign side
-    for k in range(0, 10):
-        for lam in enumerate_partitions(k):
-            plain = tuple(lam)
-            cells = tuple(_cells_above(plain))
-            assert cells == _horizontal_strips_above(plain, 1)
-            assert cells == _vertical_strips_above(plain, 1)
-
-
 def test_strips_of_tall_and_wide_shapes():
     # the enumerators loop over runs of equal rows, so neither a tall nor a
     # wide shape adds recursion depth
@@ -310,9 +301,13 @@ def test_one_cell_tail_matches_peeling_cell_by_cell():
             if lam[-1] != 1:
                 continue
             for triv, sign in splits(lam):
-                steps = _split_steps(triv, sign)
+                strips = _split_strips(triv, sign)
+                steps = sorted(
+                    [(p, False) for p in triv] + [(q, True) for q in sign],
+                    key=lambda step: (-step[0], step[1]),
+                )
                 for mu in shapes:
-                    assert _peel(mu, steps) == peel_every_step(mu, steps)
+                    assert _peel(mu, strips) == peel_every_step(mu, steps)
                     checked += 1
     assert checked > 10_000
 
@@ -322,6 +317,45 @@ def test_kostka_with_unit_content_counts_standard_tableaux():
         for mu in enumerate_partitions(n):
             assert kostka(mu, [1] * n) == specht_dim(mu)
     assert kostka([8, 7, 6, 5, 4, 3, 2, 1], [1] * 36) == 29258366996258488320
+
+
+def test_peel_memo_is_bounded():
+    assert isinstance(_peel.cache_parameters()["maxsize"], int)
+    assert _peel.cache_parameters()["maxsize"] == _PEEL_MEMO
+
+
+def test_kostka_and_split_multiplicity_share_the_peel_memo():
+    mu, lam = (4, 3, 2), (3, 3, 2, 1)
+    _peel.cache_clear()
+    value = kostka(mu, lam)
+    assert value == 4
+    assert _peel.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert split_multiplicity(mu, lam, []) == value
+    assert _peel.cache_info()[:2] == (1, 1)
+
+
+def test_the_side_of_a_one_never_splits_a_memo_entry():
+    mu = (3, 2, 1, 1)
+    _peel.cache_clear()
+    value = split_multiplicity(mu, (3, 1, 1), (2,))
+    assert split_multiplicity(mu, (3, 1), (2, 1)) == value == 2
+    assert _peel.cache_info()[:2] == (1, 1)
+    assert _peel.cache_info().currsize == 1
+
+
+def test_peel_memo_answers_as_the_peel_itself():
+    _peel.cache_clear()
+    checked = 0
+    for k in range(0, 9):
+        shapes = enumerate_partitions(k)
+        for lam in shapes:
+            for triv, sign in splits(lam):
+                strips = _split_strips(triv, sign)
+                for mu in shapes:
+                    assert _peel(mu, strips) == _peel.__wrapped__(mu, strips)
+                    checked += 1
+    assert _peel.cache_info().hits > 0
+    assert checked > 5_000
 
 
 def test_oracles_refuse_large_inputs():
