@@ -8,11 +8,13 @@ honest).
 
 Every summand of a bound is a product of per-block factors, so the sum over
 tuples of partitions is evaluated as the product over blocks of per-block
-sums over ``Par(k, min(t, k))``; no tuple is enumerated.  A block's factor
-for ``lambda`` is the target's best split multiplicity: the largest, over
-the splits of ``lambda`` into trivial and sign parts, of the number of ways
-to peel the target down to the empty shape by one horizontal strip per
-trivial part and one vertical strip per sign part (``tableaux._peel``).
+sums over ``Par(k, T)``; no tuple is enumerated.  The block's restriction
+threshold T = (2d)^m is both the length bound and the per-part weight: a
+block's factor for ``lambda`` is T^len(lambda) times the target's best
+split multiplicity, the largest, over the splits of ``lambda`` into
+trivial and sign parts, of the number of ways to peel the target down to
+the empty shape by one horizontal strip per trivial part and one vertical
+strip per sign part (``tableaux._peel``).
 
 A block sum is one depth-first walk over the sequences of (part, side)
 steps with parts of at least 2.  Parts never increase along a sequence,
@@ -32,7 +34,7 @@ strip is both horizontal and vertical, so the side of each 1 does not
 matter, and the ones peel each shape rho of the layer in f^rho ways, its
 number of standard tableaux (``tableaux._one_cell_tail``).  A last part of
 at least 2 leaves a single row or a single column.  The walk keeps its
-pending prefixes on an explicit stack, so its depth, at most ``min(t, k)``
+pending prefixes on an explicit stack, so its depth, at most min(T, k)
 parts, uses no recursion.  In the equivariant and projection sums every
 split factor is 1, and a block sum is a closed form in the counts of
 partitions by length: the differences of one table of at-most-length
@@ -76,7 +78,7 @@ from .partitions import (
     splits,
 )
 from .records import Record
-from .tableaux import _last_strip, _one_cell_tail, _peel, _peel_step, _split_strips
+from .tableaux import _one_cell_tail, _peel, _peel_step, _split_strips
 
 DEFAULT_TERM_CAP = 10_000_000
 
@@ -175,18 +177,19 @@ def _check_term_cap(weights, thresholds, cap: int) -> None:
         total *= count_partitions(k, t)
 
 
-def _block_sum(mu: Partition, t: int, base: int) -> int:
-    # Sum of base**len(lam) times the best split multiplicity of mu, over
-    # lam in Par(k, t) for k = |mu|, by the walk of the module docstring.
-    # A stack entry is a prefix still to be peeled: the parent's layer, the
+def _block_sum(mu: Partition, t: int) -> int:
+    # Sum of t**len(lam) times the best split multiplicity of mu, over lam
+    # in Par(k, t) for k = |mu|, by the walk of the module docstring.  A
+    # stack entry is a prefix still to be peeled: the parent's layer, the
     # parts so far, the weight left, and the last part (0 for the empty
     # prefix) with its side, the strip that extends the parent.
+    rows = min(t, mu.weight)
     best: dict[tuple[int, ...], int] = {}
     best_get = best.get
     stack: list = [({mu: 1}, (), mu.weight, 0, False)]
     while stack:
         table, parts, left, last, last_vertical = stack.pop()
-        room = t - len(parts)
+        room = rows - len(parts)
         if last:
             table = _peel_step(table, last, last_vertical)
             # the least shape that room strips cannot empty is the
@@ -219,11 +222,12 @@ def _block_sum(mu: Partition, t: int, base: int) -> int:
                     if size <= (tall if vertical else wide):
                         stack.append((table, parts + (size,), left - size, size, vertical))
                     continue
-                paths = _last_strip(table, size, vertical)
+                # a strip that empties the shape is the whole shape: a row or a column
+                paths = table.get((1,) * size if vertical else (size,), 0)
                 lam = parts + (size,)
                 if paths > best_get(lam, 0):
                     best[lam] = paths
-    return sum(base ** len(lam) * mult for lam, mult in best.items())
+    return sum(t ** len(lam) * mult for lam, mult in best.items())
 
 
 def g_factor(
@@ -232,8 +236,9 @@ def g_factor(
     d: int,
     widths: Sequence[int],
 ) -> int:
-    """One summand of the affine bound: a width-scaled power of 2d per block
-    times the best split multiplicity of the target in that block."""
+    """One summand of the affine bound: per block, T**len(lam) times the
+    best split multiplicity of the target, where T = (2d)**m is the block's
+    restriction threshold."""
     mu_tuple = PartitionTuple(mu_tuple)
     lam_tuple = PartitionTuple(lam_tuple)
     widths = tuple(widths)
@@ -252,7 +257,7 @@ def g_factor(
         )
         if mult == 0:
             return 0
-        total *= (2 * d) ** (m * len(lam)) * mult
+        total *= restriction_threshold(d, m) ** len(lam) * mult
     return total
 
 
@@ -282,8 +287,8 @@ def affine_multiplicity_bound(
     if all(_staircase(c) <= t for c, t in zip(mu_tuple, thresholds)):
         _check_term_cap(params.weights, thresholds, cap)
         value = 1
-        for c, k, t, m in zip(mu_tuple, params.weights, thresholds, params.widths):
-            value *= _block_sum(c, min(t, k), (2 * params.degree) ** m)
+        for c, t in zip(mu_tuple, thresholds):
+            value *= _block_sum(c, t)
             if value == 0:
                 break
     return BoundReport(value, "affine", params, mu_tuple, value == 0, _POLY_NOTE)
@@ -400,13 +405,10 @@ def projective_multiplicity_bound(
     )
 
 
-def _by_length(k: int, max_length: int, base: int) -> int:
-    # sum of base**len(lam) over Par(k, max_length), grouped by length: the
-    # count of each length is a difference in one table of at-most counts
-    return _length_sum(_count_at_most(k, min(max_length, k)), base)
-
-
 def _length_sum(counts: Sequence[int], base: int) -> int:
+    # sum of base**len(lam) over the partitions counted by one table of
+    # at-most-length counts, grouped by length: the count of each length is
+    # a difference in the table
     return sum((counts[j] - counts[j - 1]) * base**j for j in range(1, len(counts)))
 
 
@@ -429,8 +431,8 @@ def equivariant_bound(
     thresholds = params.thresholds
     _check_term_cap(params.weights, thresholds, cap)
     value = prod(
-        _by_length(k, t, (2 * d) ** m)
-        for k, t, m in zip(params.weights, thresholds, params.widths)
+        _length_sum(_count_at_most(k, min(t, k)), t)
+        for k, t in zip(params.weights, thresholds)
     )
     return BoundReport(value, "equivariant", params, None, False, _POLY_NOTE)
 
@@ -471,8 +473,7 @@ def projection_image_bound(
         raise EnumerationCapExceeded(
             f"projection bound sums more terms than the cap of {cap}"
         )
-    fiber_base = (2 * d) ** m
-    value = (2 * d) ** k * sum(_length_sum(counts, fiber_base) for counts in tables)
+    value = restriction_threshold(d, 1) ** k * sum(_length_sum(c, fiber_threshold) for c in tables)
     params = BoundParams((k,), (m,), d)
     note = (
         "sum of equivariant bounds over the symmetric fiber powers of the "

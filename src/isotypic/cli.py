@@ -4,7 +4,7 @@ Every subcommand prints either stable text or JSON (``--format json``).
 Multiplicities, dimensions and bound values are decimal strings in JSON
 output because they outgrow native integer widths quickly.  Exit codes:
 0 success, 2 parse/usage error, 3 domain error (also a value too large to
-index), 4 enumeration cap exceeded.
+index or to hold in memory), 4 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -242,6 +242,10 @@ def _load_orbit_spec(path: str) -> OrbitSpec:
         raise DomainError(f"cannot read orbit spec file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.pos)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: not UTF-8 ({exc.reason})", exc.start)
+    except RecursionError:
+        raise ParseError(f"invalid JSON in {path}: nested deeper than the decoder recurses")
     try:
         return OrbitSpec.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -353,6 +357,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CAP
     except (DomainError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError:
+        # a part near 10**18 fails its first allocation; str() of the error is empty
+        print("domain error: too large to hold in memory", file=sys.stderr)
         return EXIT_DOMAIN
     finally:
         if lift:

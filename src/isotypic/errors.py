@@ -6,10 +6,10 @@ class DomainError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed partition / tuple text.  Carries the offending position."""
+    """Malformed partition / tuple text.  Carries the offending position, if known."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at position {position}")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} at position {position}")
         self.position = position
 
 

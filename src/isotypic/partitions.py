@@ -58,7 +58,7 @@ class Partition(tuple):
 
     def transpose(self) -> "Partition":
         """Reflect the Young diagram across its main diagonal."""
-        return _transpose(self)
+        return Partition._from_valid(_conjugate(self))
 
     def contains(self, other: "Partition") -> bool:
         """Cellwise containment of Young diagrams (other fits inside self)."""
@@ -69,11 +69,6 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
-
-
-@lru_cache(maxsize=None)
-def _transpose(lam: "Partition") -> "Partition":
-    return Partition._from_valid(_conjugate(lam))
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:

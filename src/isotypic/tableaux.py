@@ -2,14 +2,14 @@
 
 Kostka numbers and split multiplicities share one engine, the strip peel
 ``_peel``: it counts the ways to remove strips from a shape down to the
-empty one, a layer of shapes per strip down to the first one-cell strip.
-A one-cell strip is both horizontal and vertical, and c of them empty a
-shape rho of weight c in f^rho ways (a standard tableau read backwards),
-so the ones that end a peel are counted by the hook-length formula
-instead of layer by layer.  Strips are enumerated by four loops, one per
-side and direction, that scan the shape's runs of equal rows depth first;
-each stops a shape as soon as its cells run out and copies the rows below
-as one slice.  A horizontal strip holds at most one cell per column, so
+empty one, a layer of shapes per strip of two or more cells.  A one-cell
+strip is both horizontal and vertical, and c of them empty a shape rho of
+weight c in f^rho ways (a standard tableau read backwards), so every peel
+ends the same way: the hook-length formula counts the ones left on each
+shape of the last layer, and f^() = 1 when none are left.  Strips are
+enumerated by four loops, one per side and direction, that scan the
+shape's runs of equal rows depth first; each stops a shape as soon as its
+cells run out and copies the rows below as one slice.  A horizontal strip holds at most one cell per column, so
 in a run only the top row can grow and only the lowest row can shrink.  A
 vertical strip holds at most one cell per row, so in a run the top j rows
 grow by a cell each or the lowest j rows shrink by a cell each, and the
@@ -228,11 +228,6 @@ def _peel_step(table: dict, size: int, vertical: bool) -> dict:
     return out
 
 
-def _last_strip(table: dict, size: int, vertical: bool) -> int:
-    # a strip that empties the shape is the whole shape: a column or a row
-    return table.get((1,) * size if vertical else (size,), 0)
-
-
 def _one_cell_tail(table: dict) -> int:
     # A one-cell strip is both horizontal and vertical, and peeling a shape
     # of weight c cell by cell down to the empty one is a standard tableau
@@ -263,20 +258,18 @@ def _peel(mu: tuple[int, ...], strips: tuple[tuple[int, bool], ...]) -> int:
     vertical, so the side of a part 1 does not change the count, and
     ``strips`` leaves the ones out; callers order them largest first
     (``_split_strips``), which keeps the layers small, and the peel stops
-    as soon as a layer is empty.  The one-cell steps come last and count
-    each shape left in closed form (``_one_cell_tail``); without them the
-    last strip is counted in closed form as a row or a column.  Results
-    are kept in a bounded memo keyed by ``mu`` and ``strips``.
+    as soon as a layer is empty.  Every peel ends the same way: the one-cell
+    steps come last and count each shape left in closed form
+    (``_one_cell_tail``).  With no ones left that shape is the empty one,
+    and f^() = 1.  Results are kept in a bounded memo keyed by ``mu`` and
+    ``strips``.
     """
-    ones = sum(mu) > sum(size for size, _ in strips)
     table = {mu: 1}
-    for size, vertical in strips if ones else strips[:-1]:
+    for size, vertical in strips:
         table = _peel_step(table, size, vertical)
         if not table:
             return 0
-    if ones or not strips:  # no strips and no ones: the empty shape, f^() = 1
-        return _one_cell_tail(table)
-    return _last_strip(table, *strips[-1])
+    return _one_cell_tail(table)
 
 
 def kostka(mu: Sequence[int], lam: Sequence[int]) -> int:

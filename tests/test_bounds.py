@@ -570,7 +570,7 @@ def test_by_length_matches_counts_by_exact_length():
     for k in range(1, 61):
         for t in range(1, 21):
             for base in (2, 16):
-                assert bounds._by_length(k, t, base) == sum(
+                assert bounds._length_sum(_count_at_most(k, min(t, k)), base) == sum(
                     exact_length_count(k, length) * base**length for length in range(t + 1)
                 )
 

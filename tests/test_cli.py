@@ -175,6 +175,13 @@ def test_mv_check_bad_inputs(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "mv-check", str(bad), str(bad))
     assert code == 2 and "invalid JSON" in err
+    # bytes that are not UTF-8, and nesting deeper than the decoder recurses
+    for name, data in (("bytes.json", b"\xff\xfe"), ("deep.json", b"[" * 100_000 + b"]" * 100_000)):
+        undecodable = tmp_path / name
+        undecodable.write_bytes(data)
+        code, out, err = run_cli(capsys, "mv-check", str(undecodable), str(undecodable))
+        assert (code, out) == (2, "") and err.startswith("parse error: invalid JSON")
+        assert len(err.splitlines()) == 1
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"k": 2}))
     code, _, err = run_cli(capsys, "mv-check", str(wrong), str(wrong))
@@ -214,20 +221,33 @@ def test_example_counts_its_terms_before_building(capsys):
 
 
 HUGE = "99999999999999999999"
+# 10**18 indexes, but a list that long fails its first allocation
+LARGE = "1000000000000000000"
 TOO_LARGE_TO_INDEX = [
     ("dim", f"[{HUGE}]"),
     ("split-module", "[]", f"[{HUGE}]"),
+    ("dim", f"[{LARGE}]"),
+    ("split-module", "[]", f"[{LARGE}]"),
 ]
 
 
 @pytest.mark.parametrize("argv", TOO_LARGE_TO_INDEX)
 def test_values_too_large_to_index_are_domain_errors(capsys, argv):
-    # the OverflowError of a list or range that long ends as one domain error
+    # the OverflowError or MemoryError of a list or range that long ends as
+    # one domain error
     for fmt in ("text", "json"):
         code, out, err = run_cli(capsys, "--format", fmt, *argv)
         assert code == 3 and out == ""
         assert err.startswith("domain error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+def test_a_one_row_target_of_weight_10_18_peels_without_listing_its_cells(capsys):
+    # a row takes one horizontal strip of its length, and no vertical strip
+    # of more than one cell
+    for side, expected in (((f"[{LARGE}]", "[]"), "1"), (("[]", f"[{LARGE}]"), "0")):
+        code, out, err = run_cli(capsys, "split-mult", f"[{LARGE}]", *side)
+        assert (code, out.strip(), err) == (0, expected, "")
 
 
 def test_partitions_output_is_unchanged(capsys):
