@@ -8,7 +8,8 @@ irreducibles in the split module.  It has a closed form:
 
 where the staircase index s(mu) = min over a >= 0 of (a + mu_{a+1}) is the
 size r of the largest staircase (r, r-1, ..., 1) inside mu.  Membership is
-one comparison with s, found in O(s) steps.  The least partition outside
+one comparison with s <= k, found in O(s) steps, and made with min(T, k+1),
+so a huge T is never formed.  The least partition outside
 I(k, d, m) is the staircase (T+1, T, ..., 1), so below its weight
 (T+1)(T+2)/2 every partition of k is admissible and ``admissible_set`` runs
 no test at all.  Proof in three steps.  The partitions of length at most T
@@ -39,22 +40,40 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DomainError
-from .partitions import Partition, enumerate_partitions
+from .partitions import _MAX_PART_DIGITS, Partition, enumerate_partitions
 from .records import Record
+
+# a threshold stays below this, with as many digits as a part may have
+_THRESHOLD_BOUND = 10**_MAX_PART_DIGITS
+
+
+def _clamped_threshold(d: int, m: int, bound: int) -> int:
+    # min(T, bound), T = (2d)^m.  With b the bit length of 2d, T >= 2**((b-1)m)
+    # decides T > bound unformed; a T formed has under twice the bits of bound
+    if d < 1 or m < 1:
+        raise DomainError("degree and width must be positive")
+    base = 2 * d
+    if (base.bit_length() - 1) * m >= bound.bit_length():
+        return bound
+    return min(base**m, bound)
 
 
 def restriction_threshold(d: int, m: int) -> int:
-    if d < 1 or m < 1:
-        raise DomainError("degree and width must be positive")
-    return (2 * d) ** m
+    """T = (2d)^m, refused as a domain error when it has more digits than a
+    part may have, before the power is formed."""
+    t = _clamped_threshold(d, m, _THRESHOLD_BOUND)
+    if t == _THRESHOLD_BOUND:
+        raise DomainError(f"threshold (2d)^m has more than {_MAX_PART_DIGITS} digits")
+    return t
 
 
 def restriction_check(mu: Sequence[int], d: int, m: int) -> bool:
     """Necessary condition for membership in the admissible set at (d, m):
     the diagram contains no (T+1)-square, T = (2d)^m, so it lies in the
     union of T rows and T columns."""
-    t = restriction_threshold(d, m)
-    return Partition(mu).part(t) <= t
+    mu = Partition(mu)
+    t = _clamped_threshold(d, m, mu.weight + 1)
+    return mu.part(t) <= t
 
 
 def _staircase(mu: Sequence[int]) -> int:
@@ -115,7 +134,7 @@ def admissible_set(k: int, d: int, m: int) -> AdmissibleSet:
     """The exact admissible set for a single symmetric group."""
     if k < 0:
         raise DomainError("weight must be nonnegative")
-    t = restriction_threshold(d, m)
+    t = _clamped_threshold(d, m, k + 1)
     members = enumerate_partitions(k)
     # below the weight of the staircase (t+1, t, ..., 1) every partition is
     # a member
@@ -126,4 +145,5 @@ def admissible_set(k: int, d: int, m: int) -> AdmissibleSet:
 
 def is_admissible(mu: Sequence[int], d: int, m: int) -> bool:
     """Exact membership test for a single partition, without building the set."""
-    return _staircase(Partition(mu)) <= restriction_threshold(d, m)
+    mu = Partition(mu)
+    return _staircase(mu) <= _clamped_threshold(d, m, mu.weight + 1)

@@ -67,7 +67,7 @@ from __future__ import annotations
 from math import comb, prod
 from typing import Sequence
 
-from .admissible import _staircase, restriction_threshold
+from .admissible import _staircase, is_admissible, restriction_threshold
 from .errors import DomainError, EnumerationCapExceeded
 from .partitions import (
     Partition,
@@ -358,7 +358,7 @@ def complex_multiplicity_bound(
     doubled = BoundParams(params.weights, [2 * m for m in params.widths], params.degree)
     affine = affine_multiplicity_bound(mu, doubled, cap=cap)
     excluded = affine.excluded and any(
-        _staircase(c) > restriction_threshold(2 * params.degree, 2 * m)
+        not is_admissible(c, 2 * params.degree, 2 * m)
         for c, m in zip(affine.target, params.widths)
     )
     return BoundReport(

@@ -140,28 +140,27 @@ def _cmd_iset(args) -> int:
         )
         return EXIT_OK
     if k > ISET_ENUMERATION_MAX_K:
-        t = restriction_threshold(d, m)
-        raise EnumerationCapExceeded(
-            f"exact enumeration is capped at k <= {ISET_ENUMERATION_MAX_K} (got k={k}); "
-            f"outer bound from the restriction test: every member fits inside the union "
-            f"of {t} rows and {t} columns (threshold (2d)^m = {t})"
-        )
+        message = f"exact enumeration is capped at k <= {ISET_ENUMERATION_MAX_K} (got k={k})"
+        try:
+            t = restriction_threshold(d, m)
+        except DomainError:
+            pass  # a threshold too long to form bounds nothing useful
+        else:
+            message += (
+                f"; outer bound from the restriction test: every member fits inside "
+                f"the union of {t} rows and {t} columns (threshold (2d)^m = {t})"
+            )
+        raise EnumerationCapExceeded(message)
     iset = admissible_set(k, d, m)
     if args.enumerate:
         members = [str(mu) for mu in iset.sorted_members()]
         _emit(args, members, members)
     else:
-        _emit(
-            args,
-            {
-                "k": k,
-                "d": d,
-                "m": m,
-                "threshold": iset.threshold,
-                "cardinality": str(len(iset)),
-            },
-            [str(len(iset))],
-        )
+        count = str(len(iset))
+        json_obj = None  # only the JSON form reports T, which may be too long to form
+        if args.format == "json":
+            json_obj = {"k": k, "d": d, "m": m, "threshold": iset.threshold, "cardinality": count}
+        _emit(args, json_obj, [count])
     return EXIT_OK
 
 

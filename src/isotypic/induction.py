@@ -6,16 +6,16 @@ its keys are :class:`Partition` values and its ambient is the weight they
 share.  All combinators return fresh values.
 
 Young modules and split modules are built forward from the empty shape by
-one Pieri step per part (``_pieri_step``), the only forward kernel; no
-single step is public.  The running table is keyed by plain tuples, and
-its keys become partitions once, when the finished module is wrapped.  A
-step of one cell, on either side, adds a cell at each addable corner in
-the kernel's own loop; a longer step calls the strip enumerators of
-``tableaux``.  One unbounded cache, ``_split_module``, keeps each module
-by its trivial and sign sides; a Young module is the split module with no
-sign side.  Callers share the cached values, which no combinator changes.
-A single split multiplicity is peeled backwards instead
-(``tableaux._peel``), from a bounded memo.
+one horizontal Pieri step per part (``_pieri_step``), the only forward
+kernel; the sign parts come first, and their table is conjugated once
+before the trivial parts are added.  The table is keyed by plain tuples,
+which become partitions once, when the module is wrapped.  A step of one
+cell adds a cell at each addable corner in the kernel's own loop.  One
+unbounded cache, ``_split_module``, keeps each module by its trivial and
+sign sides; a Young module is the split module with no sign side.
+Callers share the cached values, which no combinator changes.  A single
+split multiplicity is peeled backwards instead (``tableaux._peel``), from
+a bounded memo.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
-from .partitions import Partition, enumerate_partitions, parse_partition, splits
+from .partitions import Partition, _conjugate, enumerate_partitions, parse_partition, splits
 from .tableaux import (
     _horizontal_strips_above,
     _peel,
     _split_strips,
-    _vertical_strips_above,
     lr_coefficient,
     specht_dim,
 )
@@ -175,13 +174,13 @@ def young_module(lam: Sequence[int]) -> Decomposition:
     return _split_module(Partition(lam), Partition())
 
 
-def _pieri_step(table: dict, n: int, vertical: bool) -> dict:
-    # One Pieri step on a table keyed by plain tuples.  A one-cell strip is
-    # both horizontal and vertical, so a step of size 1 on either side adds
-    # a cell at the end of the first row of each run of equal rows, or
-    # starts a new row.  A shape's rows are copied to one list, a child is
-    # that list with one row grown, frozen and added to the table on the
-    # spot, and the row is put back; the children come in descending order.
+def _pieri_step(table: dict, n: int) -> dict:
+    # One horizontal Pieri step (times h_n) on a table keyed by plain
+    # tuples.  A step of size 1 adds a cell at the end of the first row of
+    # each run of equal rows, or starts a new row.  A shape's rows are
+    # copied to one list, a child is that list with one row grown, frozen
+    # and added to the table on the spot, and the row is put back; the
+    # children come in descending order.
     out: dict = {}
     get = out.get
     if n == 1:
@@ -197,9 +196,8 @@ def _pieri_step(table: dict, n: int, vertical: bool) -> dict:
             mu = lam + (1,)
             out[mu] = get(mu, 0) + mult
         return out
-    strips = _vertical_strips_above if vertical else _horizontal_strips_above
     for lam, mult in table.items():
-        for mu in strips(lam, n):
+        for mu in _horizontal_strips_above(lam, n):
             out[mu] = get(mu, 0) + mult
     return out
 
@@ -225,12 +223,15 @@ def outer_product(d1: Decomposition, d2: Decomposition) -> Decomposition:
 def _split_module(triv: Partition, sign: Partition) -> Decomposition:
     # One Pieri step per part, forward from the empty shape: every shape a
     # step reaches has a nonzero multiplicity, so no partition of the weight
-    # is tried and discarded.
+    # is tried and discarded.  omega(h_beta) = e_beta, so the sign side is
+    # built by horizontal steps and conjugated once, before the trivial
+    # parts, while its table is still small.
     table: dict = {(): 1}
-    for p in triv:
-        table = _pieri_step(table, p, False)
     for q in sign:
-        table = _pieri_step(table, q, True)
+        table = _pieri_step(table, q)
+    table = {_conjugate(lam): mult for lam, mult in table.items()}
+    for p in triv:
+        table = _pieri_step(table, p)
     # the kernel's plain-tuple keys become partitions once, at the boundary
     wrap = Partition._from_valid
     terms = {wrap(mu): mult for mu, mult in table.items()}
@@ -239,8 +240,9 @@ def _split_module(triv: Partition, sign: Partition) -> Decomposition:
 
 def split_module(triv: Sequence[int], sign: Sequence[int]) -> Decomposition:
     """Module induced from trivial factors on ``triv`` parts and sign factors
-    on ``sign`` parts, computed by iterated Pieri steps (rows first, then
-    columns; associativity makes the order immaterial).
+    on ``sign`` parts, computed by iterated Pieri steps (the sign parts as
+    rows, conjugated to columns, then the trivial parts as rows;
+    associativity makes the order immaterial).
 
     The whole module, forward from the empty shape: the CLI's
     ``split-module``, ``young_module`` (no sign side) and the check path

@@ -7,23 +7,27 @@ strip is both horizontal and vertical, and c of them empty a shape rho of
 weight c in f^rho ways (a standard tableau read backwards), so every peel
 ends the same way: the hook-length formula counts the ones left on each
 shape of the last layer, and f^() = 1 when none are left.  Strips are
-enumerated by four loops, one per side and direction, that scan the
-shape's runs of equal rows depth first; each stops a shape as soon as its
-cells run out and copies the rows below as one slice.  A horizontal strip holds at most one cell per column, so
-in a run only the top row can grow and only the lowest row can shrink.  A
-vertical strip holds at most one cell per row, so in a run the top j rows
-grow by a cell each or the lowest j rows shrink by a cell each, and the
-cells left after the last run start new rows of 1.  No enumerator
-recurses or transposes, so tall and wide shapes cost no recursion depth.
+enumerated by three loops that scan the shape's runs of equal rows depth
+first: horizontal strips above a shape, and horizontal and vertical strips
+below it.  Each stops a shape as soon as its cells run out and copies the
+rows below as one slice.  A horizontal strip holds at most one cell per
+column, so in a run only the top row can grow and only the lowest row can
+shrink.  A vertical strip holds at most one cell per row, so in a run the
+lowest j rows shrink by a cell each.  No enumerator recurses or
+transposes, so tall and wide shapes cost no recursion depth.  The vertical
+strips above a shape are the conjugates of the horizontal strips above
+its conjugate, so the forward build in ``induction`` takes its sign side
+as horizontal strips and conjugates it once; the peel interleaves its
+sides, so it keeps a vertical loop of its own.
 
 Every enumerator takes and returns plain tuples, in descending order.  The
-forward ones (``_horizontal_strips_above``, ``_vertical_strips_above``) are
-the kernel of the forward Pieri build in ``induction`` and cache nothing;
-that build takes its one-cell steps itself, a cell at each addable corner.
-The backward enumerators, the Specht dimensions and the LR coefficients
-keep their results in unbounded caches; a plain tuple and a partition with
-the same parts share an entry, since they compare and hash alike.  The peel
-itself answers from a bounded memo of ``_PEEL_MEMO`` entries, keyed by the
+forward one (``_horizontal_strips_above``) is the kernel of the forward
+Pieri build in ``induction`` and caches nothing; that build takes its
+one-cell steps itself, a cell at each addable corner.  The backward
+enumerators, the Specht dimensions and the LR coefficients keep their
+results in unbounded caches; a plain tuple and a partition with the same
+parts share an entry, since they compare and hash alike.  The peel itself
+answers from a bounded memo of ``_PEEL_MEMO`` entries, keyed by the
 shape and its strips of two or more cells (``_split_strips``): the number
 of one-cell steps follows from the weight, and a one-cell step has no
 side, so Kostka numbers, split multiplicities and the bounds' check path
@@ -108,37 +112,6 @@ def _horizontal_strips_above(lam: tuple[int, ...], n: int) -> tuple[tuple[int, .
                 grow += 1
         else:
             out.append(rows + (left,))
-    return tuple(out)
-
-
-def _vertical_strips_above(lam: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    # A vertical strip adds at most one cell per row, so in a run of equal
-    # rows the rows that grow are the top ones of the run, each by one cell,
-    # and the cells left after the last run start new rows of 1 (which the
-    # last part, at least 1, always allows).  Depth first over runs, more
-    # cells to higher runs first, lists the shapes in descending order; a
-    # shape is done once its cells run out, and the rows below are then
-    # copied from lam.
-    length = len(lam)
-    out: list[tuple[int, ...]] = []
-    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), n)]  # (row, rows, cells left)
-    push, pop = stack.append, stack.pop
-    while stack:
-        i, rows, left = pop()
-        if not left:
-            out.append(rows + lam[i:])
-        elif i < length:
-            part = lam[i]
-            end = i + 1
-            while end < length and lam[end] == part:
-                end += 1
-            most = end - i if end - i < left else left
-            grow = 0
-            while grow <= most:
-                push((end, rows + (part + 1,) * grow + lam[i + grow:end], left - grow))
-                grow += 1
-        else:
-            out.append(rows + (1,) * left)
     return tuple(out)
 
 

@@ -18,7 +18,7 @@ from isotypic import (
     split_module,
     splits,
 )
-from isotypic.admissible import _staircase
+from isotypic.admissible import _clamped_threshold, _staircase
 from kostka_lr import kostka_lr_split_multiplicity
 
 # cardinalities of I(k, 1, 1) for k = 1..12, frozen from exhaustive enumeration
@@ -32,6 +32,35 @@ def test_restriction_threshold():
     assert restriction_threshold(3, 2) == 36
     with pytest.raises(DomainError):
         restriction_threshold(0, 1)
+    # T may have as many digits as a part, 4,300, and is refused beyond
+    # that before the power is formed
+    assert restriction_threshold(5, 4299) == 10**4299
+    for d, m in [(5, 4300), (1, 15000), (2, 10**9), (2, 10**20), (10**5000, 1)]:
+        with pytest.raises(DomainError, match="more than 4300 digits"):
+            restriction_threshold(d, m)
+
+
+def test_clamped_threshold_is_the_least_of_t_and_k_plus_one():
+    for d in (1, 2, 3, 4, 7, 8, 9):
+        for m in range(1, 8):
+            for k in range(0, 70):
+                assert _clamped_threshold(d, m, k + 1) == min((2 * d) ** m, k + 1)
+    assert _clamped_threshold(2, 10**20, 6) == 6
+    assert _clamped_threshold(10**5000, 1, 6) == 6
+
+
+def test_huge_widths_compare_with_the_clamped_threshold():
+    start = time.perf_counter()
+    huge = 10**20
+    assert len(admissible_set(5, 2, huge)) == count_partitions(5)
+    assert is_admissible((5,), 2, huge) and is_admissible((1,) * 5, 2, huge)
+    assert restriction_check((5,), 2, huge) and restriction_check((3, 3, 3), 2, huge)
+    for mu in enumerate_partitions(9):
+        for d, m in [(1, 1), (1, 2), (1, 3)]:
+            assert is_admissible(mu, d, m) == (_staircase(mu) <= (2 * d) ** m)
+    with pytest.raises(DomainError):
+        admissible_set(5, 2, huge).threshold
+    assert time.perf_counter() - start < 1
 
 
 def test_restriction_check_examples():

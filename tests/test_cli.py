@@ -356,6 +356,54 @@ def test_staircase_index_answers_before_any_count(capsys, argv, answer):
     assert time.perf_counter() - start < 1
 
 
+# T = (2d)^m with a 20-digit or 10-digit width.  Each of these ran without
+# end while T was formed in full, so each runs in a child process under a
+# timeout and a 1 GB address space, where a runaway fails instead of hanging.
+HUGE_WIDTHS = [
+    (("iset", "5", "2", HUGE), 0, "7\n"),
+    (("iset", "5", "2", HUGE, "--member", "[5]"), 0, "member\n"),
+    (("iset", "30", "2", HUGE), 4, ""),
+    (("bound", "equivariant", "--k", "3", "--d", "2", "--m", "1000000000"), 3, ""),
+]
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+
+@pytest.mark.parametrize("argv,code,out", HUGE_WIDTHS)
+def test_huge_widths_end_with_a_stable_exit_code(argv, code, out):
+    result = subprocess.run(
+        [sys.executable, "-m", "isotypic", *argv],
+        capture_output=True, text=True, timeout=10, preexec_fn=_limit_address_space,
+    )
+    assert (result.returncode, result.stdout) == (code, out)
+    assert len(result.stderr.splitlines()) == (code != 0)
+    # the refusal names T only when T has at most as many digits as a part
+    assert "rows" not in result.stderr
+
+
+def test_thresholds_beyond_the_digit_limit_are_domain_errors(capsys):
+    # 2**15000 has 4,516 digits: the bound rules and the reported threshold
+    # refuse it, while the count needs only min(T, k + 1)
+    for argv in (
+        ("--format", "json", "iset", "5", "1", "15000"),
+        ("bound", "equivariant", "--k", "3", "--d", "1", "--m", "15000"),
+        ("bound", "affine", "--k", "3", "--d", "1", "--m", "15000", "--mu", "[3]"),
+        ("bound", "affine", "--k", "3", "--d", "1000", "--m", "2000", "--mu", "[3]"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "domain error: threshold (2d)^m has more than 4300 digits\n"
+    assert run_cli(capsys, "iset", "5", "1", "15000") == (0, "7\n", "")
+    code, out, _ = run_cli(capsys, "--format", "json", "iset", "5", "5", "4299")
+    assert code == 0 and json.loads(out)["threshold"] == 10**4299
+    code, _, err = run_cli(capsys, "iset", "30", "5", "4299")
+    assert code == 4 and f"threshold (2d)^m = {10**4299})" in err
+
+
 def test_work_counts_leave_other_answers_alone(capsys):
     # at the cap, answered; invalid inputs keep their own exit codes
     assert run_cli(capsys, "--cap", "11", "partitions", "6")[0] == 0
@@ -382,10 +430,11 @@ def digit_limit():
 
 def test_values_longer_than_the_digit_limit_print(capsys):
     limit = digit_limit()
-    affine = ("bound", "affine", "--k", "3", "--d", "1000", "--m", "2000", "--mu", "[3]")
+    # T = 2000**1300 has 4,292 digits, within the limit a threshold has
+    affine = ("bound", "affine", "--k", "3", "--d", "1000", "--m", "1300", "--mu", "[3]")
     cases = (
         (("dim", STAIRCASE_95), 7262, specht_dim(range(95, 0, -1))),
-        (affine, 19807, affine_multiplicity_bound((3,), BoundParams((3,), (2000,), 1000)).value),
+        (affine, 12875, affine_multiplicity_bound((3,), BoundParams((3,), (1300,), 1000)).value),
     )
     for argv, digits, value in cases:
         code, out, err = run_cli(capsys, *argv)

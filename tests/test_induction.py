@@ -25,7 +25,12 @@ from isotypic import (
 )
 from isotypic.induction import _pieri_step
 from isotypic.partitions import _conjugate
-from isotypic.tableaux import _horizontal_strips_above, _peel, _split_strips
+from isotypic.tableaux import (
+    _horizontal_strips_above,
+    _peel,
+    _split_strips,
+    _vertical_strips_below,
+)
 from kostka_lr import kostka_lr_split_multiplicity
 
 
@@ -44,6 +49,11 @@ def _table(dec):
 
 def _conjugate_table(table):
     return {_conjugate(lam): mult for lam, mult in table.items()}
+
+
+def _sign_step(table, n):
+    # a vertical Pieri step: a horizontal one on the conjugate shapes
+    return _conjugate_table(_pieri_step(_conjugate_table(table), n))
 
 
 def test_decomposition_basics():
@@ -136,41 +146,41 @@ def test_young_module_is_built_once_and_left_as_built():
 
 
 def test_pieri_row_examples():
-    assert _pieri_step({(1,): 1}, 1, False) == {(2,): 1, (1, 1): 1}
+    assert _pieri_step({(1,): 1}, 1) == {(2,): 1, (1, 1): 1}
     for k in range(1, 5):
         for n in range(0, 4):
-            stepped = _pieri_step({(k,): 1}, n, False)
+            stepped = _pieri_step({(k,): 1}, n)
             expected = {(k + n - j, j) if j else (k + n,): 1 for j in range(min(n, k) + 1)}
             assert stepped == expected
     table = {(2, 1): 3, (3,): 1}
-    assert _pieri_step(table, 0, False) == table
-
-
-def test_pieri_col_examples():
-    assert _pieri_step({(1,): 1}, 1, True) == {(2,): 1, (1, 1): 1}
-    assert _pieri_step({(2,): 1}, 2, True) == {(3, 1): 1, (2, 1, 1): 1}
-    table = {(2, 1): 3, (3,): 1}
-    assert _pieri_step(table, 0, True) == table
-
-
-def test_one_cell_pieri_step_is_both_strips():
-    # the kernel's own corner loop serves the trivial and the sign side
+    assert _pieri_step(table, 0) == table
+    # the kernel's own corner loop takes the one-cell steps
     for k in range(0, 13):
         for lam in enumerate_partitions(k):
             plain = tuple(lam)
-            expected = {mu: 1 for mu in _horizontal_strips_above(plain, 1)}
-            for vertical in (False, True):
-                stepped = _pieri_step({plain: 1}, 1, vertical)
-                assert stepped == expected
-                assert all(type(mu) is tuple for mu in stepped)
+            stepped = _pieri_step({plain: 1}, 1)
+            assert stepped == {mu: 1 for mu in _horizontal_strips_above(plain, 1)}
+            assert all(type(mu) is tuple for mu in stepped)
+
+
+def test_pieri_col_examples():
+    assert _sign_step({(1,): 1}, 1) == {(2,): 1, (1, 1): 1}
+    assert _sign_step({(2,): 1}, 2) == {(3, 1): 1, (2, 1, 1): 1}
+    table = {(2, 1): 3, (3,): 1}
+    assert _sign_step(table, 0) == table
 
 
 @given(decomposition_strategy(), st.integers(min_value=0, max_value=3))
 def test_pieri_transpose_duality(dec, n):
+    # the conjugated row step reaches mu from lam exactly when the backward
+    # column loop peels lam from mu by a vertical strip
     table = _table(dec)
-    assert _pieri_step(table, n, True) == _conjugate_table(
-        _pieri_step(_conjugate_table(table), n, False)
-    )
+    expected: dict = {}
+    for mu in map(tuple, enumerate_partitions(dec.ambient + n)):
+        for lam in _vertical_strips_below(mu, n):
+            if lam in table:
+                expected[mu] = expected.get(mu, 0) + table[lam]
+    assert _sign_step(table, n) == expected
 
 
 def test_pieri_scales_dimension_by_binomial():
@@ -178,8 +188,8 @@ def test_pieri_scales_dimension_by_binomial():
         for lam in enumerate_partitions(k):
             for n in range(0, 4):
                 target = specht_dim(lam) * comb(k + n, n)
-                for vertical in (False, True):
-                    stepped = _pieri_step({tuple(lam): 1}, n, vertical)
+                for step in (_pieri_step, _sign_step):
+                    stepped = step({tuple(lam): 1}, n)
                     assert Decomposition(stepped, ambient=k + n).total_dim() == target
 
 
@@ -232,14 +242,14 @@ def test_split_module_step_order_is_immaterial():
             for sign_order in set(permutations(sign)):
                 table = {(): 1}
                 for p in triv_order:
-                    table = _pieri_step(table, p, False)
+                    table = _pieri_step(table, p)
                 for q in sign_order:
-                    table = _pieri_step(table, q, True)
+                    table = _sign_step(table, q)
                 assert table == base
     # interleaving row and column steps reorders the inducing factors only
     interleaved = {(): 1}
-    for n, vertical in ((3, False), (2, True), (2, False), (1, True)):
-        interleaved = _pieri_step(interleaved, n, vertical)
+    for n, step in ((3, _pieri_step), (2, _sign_step), (2, _pieri_step), (1, _sign_step)):
+        interleaved = step(interleaved, n)
     assert interleaved == _table(split_module((3, 2), (2, 1)))
 
 

@@ -24,7 +24,6 @@ from isotypic.tableaux import (
     _peel,
     _specht_dim,
     _split_strips,
-    _vertical_strips_above,
     _vertical_strips_below,
 )
 
@@ -186,21 +185,22 @@ def test_strip_extensions_and_restrictions_are_inverse():
                 for mu in map(Partition, _horizontal_strips_above(lam, n)):
                     assert lam in _horizontal_strips_below(mu, n)
                     assert mu.weight == k + n and is_horizontal_strip(mu, lam)
-                for mu in map(Partition, _vertical_strips_above(lam, n)):
+                above = conjugated_vertical_strips(_horizontal_strips_above, lam, n)
+                for mu in map(Partition, above):
                     assert lam in _vertical_strips_below(mu, n)
                     assert mu.weight == k + n and is_vertical_strip(mu, lam)
 
 
 def test_strip_enumerations_are_complete():
-    # the loops over runs of equal rows list exactly the shapes above by a
-    # strip, in the canonical descending order
+    # the loop over runs of equal rows lists exactly the shapes above by a
+    # horizontal strip, in the canonical descending order, and their
+    # conjugates are the shapes above the conjugate by a vertical strip
     for k in range(0, 9):
         for lam in enumerate_partitions(k):
             for n in range(0, k + 2):
                 horiz = list(_horizontal_strips_above(lam, n))
-                vert = list(_vertical_strips_above(lam, n))
+                vert = conjugated_vertical_strips(_horizontal_strips_above, lam, n)
                 assert horiz == sorted(set(horiz), reverse=True)
-                assert vert == sorted(set(vert), reverse=True)
                 for mu in enumerate_partitions(k + n):
                     assert (mu in horiz) == is_horizontal_strip(mu, lam)
                     assert (mu in vert) == is_vertical_strip(mu, lam)
@@ -211,8 +211,7 @@ def test_strips_of_tall_and_wide_shapes():
     # wide shape adds recursion depth
     tall, wide = Partition((1,) * 1500), Partition((1500,))
     assert _horizontal_strips_above(tall, 2) == ((3,) + (1,) * 1499, (2,) + (1,) * 1500)
-    assert _vertical_strips_above(wide, 2) == ((1501, 1), (1500, 1, 1))
-    assert _vertical_strips_above(Partition(), 1500) == (tall,)
+    assert _horizontal_strips_above(Partition(), 1500) == (wide,)
     assert _horizontal_strips_below(tall, 1) == ((1,) * 1499,)
     assert _horizontal_strips_below(tall, 2) == ()
     assert _horizontal_strips_below(wide, 2) == ((1498,),)
@@ -245,21 +244,25 @@ def conjugated_vertical_strips(horizontal, lam, n):
 
 
 def test_vertical_strips_match_the_conjugation_reference():
-    # the vertical enumerators take their rows run by run, with no transpose
+    # the backward column loop takes its rows run by run, with no transpose;
+    # the references conjugate the row loops, the forward one as the
+    # forward build takes its column steps
     for k in range(0, 12):
-        for lam in enumerate_partitions(k):
-            plain = tuple(lam)
-            for n in range(0, k + 2):
-                above = _vertical_strips_above(plain, n)
+        for n in range(0, k + 2):
+            peeled = {tuple(mu): [] for mu in enumerate_partitions(k)}
+            for lam in enumerate_partitions(k - n) if n <= k else ():
+                for mu in conjugated_vertical_strips(_horizontal_strips_above, lam, n):
+                    peeled[mu].append(tuple(lam))
+            for plain, lams in peeled.items():
                 below = _vertical_strips_below(plain, n)
-                assert above == conjugated_vertical_strips(_horizontal_strips_above, plain, n)
+                assert below == tuple(sorted(lams, reverse=True))
                 assert below == conjugated_vertical_strips(
                     _horizontal_strips_below.__wrapped__, plain, n
                 )
-                # the reference is sorted, so equal lists are descending
                 horizontal = _horizontal_strips_below(plain, n)
-                assert all(type(shape) is tuple for shape in above + below + horizontal)
-            assert _specht_dim(plain) == specht_dim(lam)
+                assert all(type(shape) is tuple for shape in below + horizontal)
+        for lam in enumerate_partitions(k):
+            assert _specht_dim(tuple(lam)) == specht_dim(lam)
     # a 1500-row run loses its lowest rows; a 1500-cell row loses one cell
     assert _vertical_strips_below((1,) * 1500, 2) == ((1,) * 1498,)
     assert _vertical_strips_below((1500,), 1) == ((1499,),)
