@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, _is_int
 from .partitions import _MAX_PART_DIGITS, Partition, enumerate_partitions
 from .records import Record
 
@@ -50,7 +50,7 @@ _THRESHOLD_BOUND = 10**_MAX_PART_DIGITS
 def _clamped_threshold(d: int, m: int, bound: int) -> int:
     # min(T, bound), T = (2d)^m.  With b the bit length of 2d, T >= 2**((b-1)m)
     # decides T > bound unformed; a T formed has under twice the bits of bound
-    if d < 1 or m < 1:
+    if not (_is_int(d) and _is_int(m)) or d < 1 or m < 1:
         raise DomainError("degree and width must be positive")
     base = 2 * d
     if (base.bit_length() - 1) * m >= bound.bit_length():
@@ -132,7 +132,7 @@ class AdmissibleSet(_MemberOrder):
 
 def admissible_set(k: int, d: int, m: int) -> AdmissibleSet:
     """The exact admissible set for a single symmetric group."""
-    if k < 0:
+    if not _is_int(k) or k < 0:
         raise DomainError("weight must be nonnegative")
     t = _clamped_threshold(d, m, k + 1)
     members = enumerate_partitions(k)

@@ -68,7 +68,7 @@ from math import comb, prod
 from typing import Sequence
 
 from .admissible import _staircase, is_admissible, restriction_threshold
-from .errors import DomainError, EnumerationCapExceeded
+from .errors import DomainError, EnumerationCapExceeded, _is_int
 from .partitions import (
     Partition,
     PartitionTuple,
@@ -107,11 +107,11 @@ class BoundParams(Record):
             raise DomainError("weights and widths must have equal arity")
         if not weights:
             raise DomainError("at least one block is required")
-        if any(k < 1 for k in weights) or any(m < 1 for m in widths):
+        if not all(_is_int(n) and n >= 1 for n in weights + widths):
             raise DomainError("weights and widths must be positive")
-        if degree < 1:
+        if not _is_int(degree) or degree < 1:
             raise DomainError("degree must be positive")
-        if polys is not None and polys < 1:
+        if polys is not None and (not _is_int(polys) or polys < 1):
             raise DomainError("number of polynomials must be positive")
         self._set(weights, widths, degree, polys)
 

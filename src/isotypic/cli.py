@@ -16,9 +16,10 @@ from typing import Sequence
 from . import bounds
 from .admissible import admissible_set, is_admissible, restriction_threshold
 from .errors import DomainError, EnumerationCapExceeded, ParseError
-from .induction import split_module, split_multiplicity, young_module
+from .induction import Decomposition, split_module, split_multiplicity, young_module
 from .orbits import (
     OrbitSpec,
+    closed_form_multiplicity,
     example_variety,
     h0_decomposition,
     mv_check,
@@ -206,7 +207,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    # orbit i contributes a Young module of min(i, k - i) + 1 terms
+    # the cap counts the orbit sum's Young-module terms, min(i, k - i) + 1 for
+    # orbit i, but H^0 is the closed form over its support, the stabilizers
     k = max(args.k, 0)
     terms = (k // 2 + 1) * ((k + 1) // 2 + 1)
     if terms > args.cap:
@@ -214,7 +216,7 @@ def _cmd_example(args) -> int:
             f"H^0 of the example sums {terms} terms, above the cap of {args.cap}"
         )
     spec = example_variety(args.k)
-    h0 = h0_decomposition(spec)
+    h0 = Decomposition({s: closed_form_multiplicity(s) for _, s in spec.orbits}, ambient=args.k)
     dec = top_cohomology(h0) if args.top else h0
     lines = [str(dec)]
     obj: dict = {"k": args.k, ("top" if args.top else "h0"): dec.to_json_dict()}

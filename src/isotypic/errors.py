@@ -1,6 +1,11 @@
 """Exception types shared across the library and mapped to CLI exit codes."""
 
 
+def _is_int(value) -> bool:
+    # the integer test of the domain checks: an int, but not a bool
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class DomainError(ValueError):
     """An argument is outside an operation's mathematical domain."""
 

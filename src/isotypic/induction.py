@@ -24,7 +24,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, _is_int
 from .partitions import Partition, _conjugate, enumerate_partitions, parse_partition, splits
 from .tableaux import (
     _horizontal_strips_above,
@@ -42,12 +42,12 @@ class Decomposition:
     __slots__ = ("_terms", "_ambient")
 
     def __init__(self, terms: Mapping | Iterable = (), ambient: int | None = None):
-        if ambient is not None and (not isinstance(ambient, int) or ambient < 0):
+        if ambient is not None and (not _is_int(ambient) or ambient < 0):
             raise DomainError(f"ambient weight must be a natural number, got {ambient!r}")
         items = dict(terms)
         clean: dict = {}
         for key, mult in items.items():
-            if not isinstance(mult, int) or mult < 0:
+            if not _is_int(mult) or mult < 0:
                 raise DomainError(f"multiplicities must be natural numbers, got {mult!r}")
             if mult == 0:
                 continue
@@ -127,14 +127,6 @@ class Decomposition:
         """Dimension of the module: sum of multiplicity times irreducible dimension."""
         return sum(mult * specht_dim(key) for key, mult in self._terms.items())
 
-    def map_keys(self, fn) -> "Decomposition":
-        """Rekey through ``fn``, which must preserve the ambient weight."""
-        terms: dict = {}
-        for key, mult in self._terms.items():
-            new = fn(key)
-            terms[new] = terms.get(new, 0) + mult
-        return Decomposition(terms, ambient=self._ambient)
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -166,10 +158,10 @@ def young_module(lam: Sequence[int]) -> Decomposition:
 
     Multiplicities are the Kostka numbers with content ``lam``.  It is the
     split module with no sign side, so it is built once per ``lam`` and kept
-    in the split-module cache: a repeated ``lam`` (orbits ``i`` and ``k - i``
-    of ``orbits.example_variety`` share a stabilizer) is a lookup, and every
-    call returns the same value.  No combinator changes its argument, so the
-    shared value stays as built.
+    in the split-module cache: a repeated ``lam`` (two orbits of
+    ``orbits.h0_decomposition`` with one stabilizer type) is a lookup, and
+    every call returns the same value.  No combinator changes its argument,
+    so the shared value stays as built.
     """
     return _split_module(Partition(lam), Partition())
 
@@ -271,8 +263,9 @@ def split_multiplicity(mu: Sequence[int], triv: Sequence[int], sign: Sequence[in
 
 
 def sign_twist(dec: Decomposition) -> Decomposition:
-    """Tensor with the sign character: transpose every key. An involution."""
-    return dec.map_keys(lambda key: key.transpose())
+    """Tensor with the sign character: transpose every key, which merges none. An involution."""
+    terms = {key.transpose(): mult for key, mult in dec._terms.items()}
+    return Decomposition._from_valid(terms, dec.ambient)
 
 
 @lru_cache(maxsize=None)
@@ -282,14 +275,11 @@ def _max_split_table(lam: Partition) -> Mapping[Partition, int]:
         if triv < sign:
             continue  # its decomposition is the sign twist of the mirror split's
         dec = split_module(triv, sign)
-        for mu, mult in dec._terms.items():
-            if mult > table.get(mu, 0):
-                table[mu] = mult
-        if triv != sign:
-            for mu, mult in dec._terms.items():
-                twisted = mu.transpose()
-                if mult > table.get(twisted, 0):
-                    table[twisted] = mult
+        sides = (dec,) if triv == sign else (dec, sign_twist(dec))
+        for side in sides:
+            for mu, mult in side._terms.items():
+                if mult > table.get(mu, 0):
+                    table[mu] = mult
     return MappingProxyType(table)
 
 

@@ -87,7 +87,8 @@ def example_variety(k: int) -> OrbitSpec:
 
 
 def closed_form_multiplicity(mu: Sequence[int]) -> int:
-    """Multiplicity of a two-row irreducible in H^0 of the example: 2*mu1 - k + 1."""
+    """Multiplicity of a two-row irreducible in H^0 of the example, 2*mu1 - k + 1:
+    the CLI ``example``'s answer, checked against the orbit sum ``h0_decomposition``."""
     mu = Partition(mu)
     if len(mu) > 2:
         raise DomainError(f"closed form covers at most two rows, got {mu}")

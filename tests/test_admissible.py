@@ -63,6 +63,24 @@ def test_huge_widths_compare_with_the_clamped_threshold():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_admissible([3], 1.0, 1),
+        lambda: is_admissible([3], 1, True),
+        lambda: restriction_check([3], 1.5, 1),
+        lambda: restriction_threshold(True, 1),
+        lambda: admissible_set(3.0, 1, 1),
+        lambda: admissible_set(True, 1, 1),
+        lambda: admissible_set(3, 1, 2.0),
+    ],
+)
+def test_weights_degrees_and_widths_must_be_ints(call):
+    # not an AttributeError from int.bit_length, and a bool is not a 1
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_restriction_check_examples():
     for k in range(1, 12):
         assert restriction_check((k,), 1, 1)

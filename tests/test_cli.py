@@ -14,8 +14,11 @@ from isotypic import (
     affine_multiplicity_bound,
     enumerate_partitions,
     example_variety,
+    h0_decomposition,
     specht_dim,
+    top_cohomology,
 )
+from isotypic import induction
 from isotypic.cli import main
 
 
@@ -82,6 +85,28 @@ def test_example_command(capsys):
     data = json.loads(out)
     assert data["h0"]["terms"] == {"[2]": "3", "[1,1]": "1"}
     assert data["identity"] == {"lhs": "4", "rhs": "4", "holds": True}
+
+
+def test_example_prints_its_orbit_sum(capsys):
+    # the command answers from the closed form; the module built orbit by
+    # orbit is its check, in text and JSON, with and without --top
+    for k in [*range(1, 41), 250]:
+        h0 = h0_decomposition(example_variety(k))
+        for top, key, dec in [((), "h0", h0), (("--top",), "top", top_cohomology(h0))]:
+            assert run_cli(capsys, "example", str(k), *top) == (0, f"{dec}\n", "")
+            expected = json.dumps({"k": k, key: dec.to_json_dict()}) + "\n"
+            assert run_cli(capsys, "--format", "json", "example", str(k), *top) == (0, expected, "")
+
+
+def test_example_builds_no_module(capsys):
+    # H^0 on 2,000 letters has 1,001 terms; the orbit sum would build and
+    # cache a Young module per stabilizer
+    before = induction._split_module.cache_info()
+    code, out, _ = run_cli(capsys, "example", "2000")
+    assert code == 0 and out.startswith("2001*[2000] + 1999*[1999,1] + ")
+    code, top, _ = run_cli(capsys, "example", "2000", "--top")
+    assert code == 0 and out.count("*[") == top.count("*[") == 1001
+    assert induction._split_module.cache_info() == before
 
 
 def test_iset_command(capsys):

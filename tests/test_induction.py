@@ -79,6 +79,16 @@ def test_decomposition_basics():
     assert not empty and str(empty) == "0"
 
 
+def test_decomposition_refuses_bools():
+    # Python counts a bool as an int, but True is no multiplicity or weight:
+    # it would print as "True*[2]" and compare equal to multiplicity 1
+    for terms, ambient in [({(2,): True}, None), ({(2,): False}, 2), ({}, True), ({}, False)]:
+        with pytest.raises(DomainError):
+            Decomposition(terms, ambient=ambient)
+    with pytest.raises(DomainError):
+        Decomposition.from_json_dict({"ambient": True, "terms": {}})
+
+
 def test_membership_refuses_what_is_no_partition():
     # membership answers False, as an admissible set's does; lookup raises
     dec = young_module((2, 1))
@@ -329,6 +339,9 @@ def test_sign_twist():
 @given(decomposition_strategy())
 def test_sign_twist_involution(dec):
     assert sign_twist(sign_twist(dec)) == dec
+    # conjugation merges no keys, so the twist is the validated rekeying
+    rekeyed = Decomposition({key.transpose(): mult for key, mult in dec.items()}, dec.ambient)
+    assert sign_twist(dec) == rekeyed and len(sign_twist(dec)) == len(dec)
 
 
 def test_max_split_multiplicities_table():

@@ -82,6 +82,25 @@ def test_validation_messages(build, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BoundParams((3.0,), (1,), 1), "weights and widths must be positive"),
+        (lambda: BoundParams((3,), (True,), 1), "weights and widths must be positive"),
+        (lambda: BoundParams((3,), (1,), 1.5), "degree must be positive"),
+        (lambda: BoundParams((3,), (1,), True), "degree must be positive"),
+        (lambda: BoundParams((3,), (1,), 1, 2.0), "number of polynomials must be positive"),
+        (lambda: BoundParams((3,), (1,), 1, True), "number of polynomials must be positive"),
+    ],
+)
+def test_bound_params_fields_are_ints(build, message):
+    # a float would leak an AttributeError from a later bit_length, and a
+    # bool would be taken as 0 or 1
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("record", sample_records(), ids=lambda r: type(r).__name__)
 def test_equality_hash_copy_and_pickle(record):
     twin = type(record)(*(getattr(record, name) for name in record.__slots__))
