@@ -37,8 +37,10 @@ at least 2 leaves a single row or a single column.  The walk keeps its
 pending prefixes on an explicit stack, so its depth, at most min(T, k)
 parts, uses no recursion.  In the equivariant and projection sums every
 split factor is 1, and a block sum is a closed form in the counts of
-partitions by length: the differences of one table of at-most-length
-counts per weight, the same table the term cap counts from.
+partitions by length: the differences of the at-most-length counts that
+``partitions._row_counts`` streams.  The term cap counts each block in one
+pass, and the equivariant sum is read from that same pass; the projection
+sum reads every fiber weight from one table over 0..k.
 
 The walk is polynomial in k for fixed degree and widths.  Each ``lambda``
 of Par(k, T) has a fixed number of splits of its parts above 1, at most
@@ -64,19 +66,13 @@ that passes the cap stops before its table is built.
 
 from __future__ import annotations
 
-from math import comb, prod
-from typing import Sequence
+from itertools import islice
+from math import comb
+from typing import Iterable, Sequence
 
 from .admissible import _staircase, is_admissible, restriction_threshold
 from .errors import DomainError, EnumerationCapExceeded, _is_int
-from .partitions import (
-    Partition,
-    PartitionTuple,
-    _count_at_most,
-    _more_partitions_than,
-    count_partitions,
-    splits,
-)
+from .partitions import Partition, PartitionTuple, _at_most_counts, _row_counts, splits
 from .records import Record
 from .tableaux import _one_cell_tail, _peel, _peel_step, _split_strips
 
@@ -167,14 +163,35 @@ def _coerce_target(mu, params: BoundParams) -> PartitionTuple:
     return target
 
 
-def _check_term_cap(weights, thresholds, cap: int) -> None:
-    # block by block: a block that alone leaves the product above the cap
-    # is refused before its exact count table is built
-    total = 1
+def _length_sum(counts: Iterable[int], t: int, cap: int) -> tuple[int, int] | None:
+    # Sum of t**len(lam) over the partitions counted by a stream of running
+    # at-most-length counts, j = 0, 1, 2, ...: those with exactly j parts
+    # are count j less count j - 1.  The count only grows with j, so the
+    # sum is dropped (None) at the first count past the cap.  Returns the
+    # number of partitions and the sum.
+    value = counted = 0
+    for j, within in enumerate(counts):
+        if within > cap:
+            return None
+        value += (within - counted) * t**j
+        counted = within
+    return counted, value
+
+
+def _check_term_cap(weights, thresholds, cap: int) -> int:
+    # Block by block, one count pass each: a block that alone leaves the
+    # product above the cap is refused at its first count past it, so
+    # before any table that the closed forms can spare.  The same pass
+    # sums T**len(lam) over the block's terms; the product of those sums,
+    # the equivariant bound, is returned.
+    total = value = 1
     for k, t in zip(weights, thresholds):
-        if _more_partitions_than(k, t, cap // total):
+        block = _length_sum(_at_most_counts(k, min(t, k)), t, cap // total)
+        if block is None:
             raise EnumerationCapExceeded(f"bound sum has more terms than the cap of {cap}")
-        total *= count_partitions(k, t)
+        total *= block[0]
+        value *= block[1]
+    return value
 
 
 def _block_sum(mu: Partition, t: int) -> int:
@@ -384,7 +401,7 @@ def projective_multiplicity_bound(
     is ``floor(k/2) + 1`` times the complex affine bound, which absorbs the
     degree-shifting differentials of the fibration comparison.
     """
-    if k < 1 or d < 1:
+    if not all(_is_int(n) and n >= 1 for n in (k, d)):
         raise DomainError("projective bound needs positive k and d")
     if letters is None:
         letters = k + 1
@@ -405,13 +422,6 @@ def projective_multiplicity_bound(
     )
 
 
-def _length_sum(counts: Sequence[int], base: int) -> int:
-    # sum of base**len(lam) over the partitions counted by one table of
-    # at-most-length counts, grouped by length: the count of each length is
-    # a difference in the table
-    return sum((counts[j] - counts[j - 1]) * base**j for j in range(1, len(counts)))
-
-
 def equivariant_bound(
     weights: Sequence[int],
     widths: Sequence[int],
@@ -428,12 +438,7 @@ def equivariant_bound(
     workload stops passing it.
     """
     params = BoundParams(tuple(weights), tuple(widths), d)
-    thresholds = params.thresholds
-    _check_term_cap(params.weights, thresholds, cap)
-    value = prod(
-        _length_sum(_count_at_most(k, min(t, k)), t)
-        for k, t in zip(params.weights, thresholds)
-    )
+    value = _check_term_cap(params.weights, params.thresholds, cap)
     return BoundReport(value, "equivariant", params, None, False, _POLY_NOTE)
 
 
@@ -452,28 +457,23 @@ def projection_image_bound(
     plus one block of ``p + 1`` fiber copies of width ``m``, and each
     singleton block contributes the factor ``2d``.
     """
-    if k < 1 or m < 1 or d < 1:
+    if not all(_is_int(n) and n >= 1 for n in (k, m, d)):
         raise DomainError("projection bound needs positive k, m, d")
     fiber_threshold = restriction_threshold(d, m)
     # T >= 2, so fiber weight n has at least n // 2 + 1 terms, and the k
     # fiber weights at least k + k*k // 4 together: that closed form is
-    # checked before any count table is built.  Each fiber weight's table
-    # is then read once, for the term count and for the value sum, which
-    # starts only after the count has passed the cap.
-    tables: list[tuple[int, ...]] = []
-    terms = 0
+    # checked before any count table is built.  One table over 0..k then
+    # holds every fiber weight's counts: column j, summed over the weights
+    # 1..k, counts their partitions into at most j parts.
+    fibers = None
     if k + k * k // 4 <= cap:
-        for n in range(1, k + 1):
-            counts = _count_at_most(n, min(fiber_threshold, n))
-            terms += counts[-1]
-            if terms > cap:
-                break
-            tables.append(counts)
-    if len(tables) < k:
+        columns = islice(_row_counts(k), min(fiber_threshold, k) + 1)
+        fibers = _length_sum((sum(islice(c, 1, None)) for c in columns), fiber_threshold, cap)
+    if fibers is None:
         raise EnumerationCapExceeded(
             f"projection bound sums more terms than the cap of {cap}"
         )
-    value = restriction_threshold(d, 1) ** k * sum(_length_sum(c, fiber_threshold) for c in tables)
+    value = restriction_threshold(d, 1) ** k * fibers[1]
     params = BoundParams((k,), (m,), d)
     note = (
         "sum of equivariant bounds over the symmetric fiber powers of the "

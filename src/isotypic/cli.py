@@ -29,8 +29,8 @@ from .orbits import (
     verify_power_identity,
 )
 from .partitions import (
+    _count_within,
     _iter_partitions,
-    _more_partitions_than,
     parse_partition,
     parse_partition_tuple,
 )
@@ -63,7 +63,7 @@ def _emit(args, json_obj, text_lines: list[str]) -> None:
 
 
 def _cmd_partitions(args) -> int:
-    if _more_partitions_than(args.k, args.max_len, args.cap):
+    if _count_within(args.k, args.max_len, args.cap) is None:
         rows = "" if args.max_len is None else f" into at most {args.max_len} parts"
         raise EnumerationCapExceeded(
             f"{args.k} has more partitions{rows} than the cap of {args.cap}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, _is_int
 from .induction import Decomposition, sign_twist, young_module
 from .partitions import Partition, parse_partition
 from .records import Record
@@ -23,7 +23,7 @@ class OrbitSpec(Record):
     __slots__ = ("k", "orbits")
 
     def __init__(self, k: int, orbits: Sequence[tuple[str, Sequence[int]]]):
-        if k < 0:
+        if not _is_int(k) or k < 0:
             raise DomainError("letter count must be nonnegative")
         seen = set()
         clean = []
@@ -77,7 +77,7 @@ def example_variety(k: int) -> OrbitSpec:
     The orbit of points with ``i`` low and ``k - i`` high coordinates has
     stabilizer type (max(i, k-i), min(i, k-i)), zero parts dropped.
     """
-    if k < 1:
+    if not _is_int(k) or k < 1:
         raise DomainError("the example needs at least one letter")
     orbits = []
     for i in range(k + 1):
@@ -110,7 +110,7 @@ def verify_power_identity(k: int) -> PowerIdentityCheck:
     sum of (k - 2*mu2 + 1)^2 * C(k+1, mu2) divided by k+1, and that division
     must be exact.
     """
-    if k < 1:
+    if not _is_int(k) or k < 1:
         raise DomainError("identity needs k >= 1")
     total = sum((k - 2 * mu2 + 1) ** 2 * comb(k + 1, mu2) for mu2 in range(k // 2 + 1))
     lhs, remainder = divmod(total, k + 1)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from functools import lru_cache
 from itertools import islice
+from math import inf
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _is_int
 
 
 class Partition(tuple):
@@ -103,9 +103,12 @@ class PartitionTuple(tuple):
 
 
 def _row_bound(k: int, max_length: int | None) -> int:
+    # the checks shared by counting and enumeration
+    if not _is_int(k):
+        raise DomainError(f"can only partition an integer, got {k!r}")
     if k < 0:
         raise DomainError("cannot partition a negative integer")
-    if max_length is not None and max_length < 1:
+    if max_length is not None and (not _is_int(max_length) or max_length < 1):
         raise DomainError("max_length must be a positive integer")
     return k if max_length is None else min(max_length, k)
 
@@ -159,50 +162,54 @@ def _iter_partitions(k: int, max_length: int | None = None) -> Iterator[Partitio
         yield new(Partition, big + [1] * ones)
 
 
-def _row_counts(n: int) -> Iterator[int]:
-    # yields p(n, <= j), the partitions of n into at most j parts, for
-    # j = 0, 1, 2, ...  By conjugation these are the partitions of n into
-    # parts of size at most j, counted by adding one allowed part size at
-    # a time to a table over 0..n; a loop, so no recursion depth grows
-    # with n.
+def _row_counts(n: int) -> Iterator[list[int]]:
+    # The one count of partitions by length.  Yields, for j = 0, 1, 2, ...,
+    # the column whose entry t is p(t, <= j), the partitions of t into at
+    # most j parts, for t = 0..n: one list, updated in place between
+    # yields.  By conjugation these are the partitions of t into parts of
+    # size at most j, so each step adds one allowed part size to the
+    # column; a loop, so no recursion depth grows with n.
     ways = [1] + [0] * n
-    yield ways[n]
+    yield ways
     size = 0
     while True:
         size += 1
         for total in range(size, n + 1):
             ways[total] += ways[total - size]
-        yield ways[n]
+        yield ways
 
 
-@lru_cache(maxsize=1024)
-def _count_at_most(n: int, length: int) -> tuple[int, ...]:
-    # entry j: partitions of n into at most j parts, for j = 0..length
-    return tuple(islice(_row_counts(n), length + 1))
+def _at_most_counts(k: int, rows: int) -> Iterator[int]:
+    # p(k, <= j) for j = 0..rows.  Up to three parts they are closed forms,
+    # so a reader that stops there builds no table over 0..k, and
+    # p(k, <= 3) = round((k + 3)^2 / 12) bounds every longer count from
+    # below; past three parts they are the columns of _row_counts at k.
+    yield from (int(k == 0), 1, k // 2 + 1, ((k + 3) ** 2 + 6) // 12)[: rows + 1]
+    if rows > 3:
+        for column in islice(_row_counts(k), 4, rows + 1):
+            yield column[k]
 
 
 def count_partitions(k: int, max_length: int | None = None) -> int:
-    """card(Par(k)) or card(Par(k, max_length)), without enumerating."""
-    if k < 0:
-        raise DomainError("cannot partition a negative integer")
-    return _count_at_most(k, k if max_length is None else min(max_length, k))[-1]
+    """card(Par(k)) or card(Par(k, max_length)), without enumerating.
 
-
-def _more_partitions_than(k: int, max_length: int | None, cap: int) -> bool:
-    """Whether card(Par(k, max_length)) exceeds ``cap``, at any size of k.
-
-    Checked before anything is enumerated: closed forms answer at most two
-    and three parts, and p(k, <= 3) = round((k + 3)^2 / 12) bounds every
-    longer count from below; past it the count table has about
-    sqrt(12 cap) entries and stops at the first row count above ``cap``.
+    At most three parts are counted in closed form, at any size of k.
     """
-    rows = _row_bound(k, max_length)
-    if rows <= 2:
-        return (k // 2 + 1 if rows == 2 else 1) > cap
-    three = ((k + 3) ** 2 + 6) // 12
-    if rows == 3 or three > cap:
-        return three > cap
-    return any(n > cap for n in islice(_row_counts(k), 4, rows + 1))
+    return _count_within(k, max_length, inf)
+
+
+def _count_within(k: int, max_length: int | None, cap) -> int | None:
+    """card(Par(k, max_length)), or None once it exceeds ``cap``.
+
+    Checked before anything is enumerated, and the count stops at the
+    first at-most-length count above ``cap``: a huge k is refused by the
+    closed forms before any table is built, and past them the table over
+    0..k has about sqrt(12 cap) entries.
+    """
+    for count in _at_most_counts(k, _row_bound(k, max_length)):
+        if count > cap:
+            return None
+    return count
 
 
 def dominates(mu: Sequence[int], lam: Sequence[int]) -> bool:

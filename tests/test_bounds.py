@@ -29,9 +29,8 @@ from isotypic import (
     splits,
     split_multiplicity,
 )
-from isotypic import bounds
+from isotypic import bounds, partitions
 from isotypic.admissible import _staircase
-from isotypic.partitions import _count_at_most
 
 # frozen after first computation; k = 1..10 per row
 PROJECTIVE_GOLDEN = {
@@ -244,6 +243,18 @@ def test_projection_bound_examples():
             equi = equivariant_bound((1, 1), (1, m), d)
             assert single.value == equi.value
     assert projection_image_bound(2, 1, 1).value == 32
+
+
+@pytest.mark.parametrize("k,m,d", [(3.0, 1, 1), (3, 1.0, 1), (3, 1, 1.0), (True, 1, 1), (0, 1, 1)])
+def test_projection_refuses_non_positive_integers(k, m, d):
+    with pytest.raises(DomainError):
+        projection_image_bound(k, m, d)
+
+
+@pytest.mark.parametrize("k,d", [(3.0, 1), (3, 1.0), (True, 1), (3, True), (0, 1)])
+def test_projective_refuses_non_positive_integers(k, d):
+    with pytest.raises(DomainError):
+        projective_multiplicity_bound(k, d)
 
 
 def test_projection_bound_monotone_in_k():
@@ -504,16 +515,31 @@ def test_term_cap_is_the_product_of_block_counts(weights, thresholds):
         bounds._check_term_cap(weights, thresholds, total - 1)
 
 
-def test_term_cap_refuses_a_long_block_before_its_count_table():
+def record_count_tables(monkeypatch):
+    """The sizes n of the count tables over 0..n that
+    ``partitions._row_counts`` is asked for, in call order."""
+    sizes = []
+    row_counts = partitions._row_counts
+
+    def recording(n):
+        sizes.append(n)
+        return row_counts(n)
+
+    monkeypatch.setattr(partitions, "_row_counts", recording)
+    monkeypatch.setattr(bounds, "_row_counts", recording)
+    return sizes
+
+
+def test_term_cap_refuses_a_long_block_before_its_count_table(monkeypatch):
     # a table of at-most-length counts for k = 10**9 would hold 10**9 ints
-    _count_at_most.cache_clear()
+    sizes = record_count_tables(monkeypatch)
     for weights in ((10**9,), (3, 10**9), (10**20, 3)):
         with pytest.raises(EnumerationCapExceeded):
             equivariant_bound(weights, (1,) * len(weights), 1)
-    assert _count_at_most.cache_info().currsize <= 1
+    assert all(n <= 3 for n in sizes)
 
 
-def test_projection_terms_have_a_closed_form_lower_bound():
+def test_projection_terms_have_a_closed_form_lower_bound(monkeypatch):
     # T >= 2 gives fiber weight n at least n // 2 + 1 terms
     for k in range(1, 80):
         for t in (2, 4, 8):
@@ -522,10 +548,10 @@ def test_projection_terms_have_a_closed_form_lower_bound():
             assert closed_form <= exact
             if t == 2:
                 assert closed_form == exact
-    _count_at_most.cache_clear()
+    sizes = record_count_tables(monkeypatch)
     with pytest.raises(EnumerationCapExceeded):
         projection_image_bound(10**20, 1, 1)
-    assert _count_at_most.cache_info().currsize == 0
+    assert sizes == []
     # the exact count still decides below the closed form's reach
     exact = sum(count_partitions(p + 1, 16) for p in range(36))
     projection_image_bound(36, 2, 2, cap=exact)
@@ -568,29 +594,39 @@ def test_by_length_matches_counts_by_exact_length():
             by_length[j] for j in range(k + 1)
         ]
     for k in range(1, 61):
+        at_most = list(itertools.accumulate(exact_length_count(k, j) for j in range(k + 1)))
+        assert list(partitions._at_most_counts(k, k)) == at_most
         for t in range(1, 21):
-            for base in (2, 16):
-                assert bounds._length_sum(_count_at_most(k, min(t, k)), base) == sum(
-                    exact_length_count(k, length) * base**length for length in range(t + 1)
+            rows = min(t, k)
+            # the weights first..k, read as one stream of running counts
+            for first in (1, k):
+                counts = [
+                    sum(exact_length_count(n, length) for n in range(first, k + 1)
+                        for length in range(j + 1))
+                    for j in range(rows + 1)
+                ]
+                value = sum(
+                    exact_length_count(n, length) * t**length
+                    for n in range(first, k + 1) for length in range(rows + 1)
                 )
+                assert bounds._length_sum(counts, t, 10**7) == (counts[-1], value)
 
 
-def test_projection_builds_one_count_table_per_weight():
-    # the term cap and the closed-form sum read the same table for each
-    # fiber weight p + 1, so 36 fiber weights leave 36 entries
-    _count_at_most.cache_clear()
-    projection_image_bound(36, 2, 2)
-    assert _count_at_most.cache_info().currsize <= 36
+@pytest.mark.parametrize("k,m,d", [(36, 2, 2), (1100, 1, 1)])
+def test_projection_builds_one_count_table(monkeypatch, k, m, d):
+    # the term count and the value sum of every fiber weight read one
+    # table over 0..k, built once
+    sizes = record_count_tables(monkeypatch)
+    projection_image_bound(k, m, d)
+    assert sizes == [k]
 
 
-def test_projection_reads_each_count_table_once_past_the_cache_size():
-    # 1,100 fiber weights do not fit the 1,024 tables the cache keeps, so
-    # a second pass over them would miss every one again
-    _count_at_most.cache_clear()
-    projection_image_bound(1100, 1, 1)
-    info = _count_at_most.cache_info()
-    assert info.misses == 1100
-    assert info.hits == 0
+def test_projection_is_the_sum_of_equivariant_bounds():
+    for k in range(1, 41):
+        for m in (1, 2):
+            for d in (1, 2):
+                fibers = sum(equivariant_bound((n,), (m,), d).value for n in range(1, k + 1))
+                assert projection_image_bound(k, m, d).value == (2 * d) ** k * fibers
 
 
 def test_projection_matches_sum_of_fiber_powers():

@@ -52,6 +52,16 @@ def test_example_variety_structure():
         example_variety(0)
 
 
+@pytest.mark.parametrize("k", [3.0, True, "3"])
+def test_letter_counts_must_be_integers(k):
+    with pytest.raises(DomainError):
+        example_variety(k)
+    with pytest.raises(DomainError):
+        verify_power_identity(k)
+    with pytest.raises(DomainError):
+        OrbitSpec(k, (("a", (3,)),))
+
+
 def test_h0_single_and_double_orbit():
     single = OrbitSpec(3, (("x", Partition((3,))),))
     assert h0_decomposition(single) == young_module((3,))

@@ -18,7 +18,7 @@ from isotypic import (
     parse_partition_tuple,
     splits,
 )
-from isotypic.partitions import _more_partitions_than
+from isotypic.partitions import _count_within
 
 
 @st.composite
@@ -95,22 +95,23 @@ def test_a_tight_length_cap_skips_the_long_partitions():
     assert time.perf_counter() - start < 0.5
 
 
-def test_more_partitions_than_the_cap():
+def test_count_within_the_cap():
     for k in range(0, 25):
         for max_length in [None, *range(1, k + 2)]:
-            n = count_partitions(k, max_length)
+            n = len(enumerate_partitions(k, max_length))
             for cap in (1, n - 1, n, n + 1):
-                assert _more_partitions_than(k, max_length, cap) == (n > cap)
+                assert _count_within(k, max_length, cap) == (None if n > cap else n)
     # the closed forms answer at any size, with no table over 0..k
     huge = 10 ** 20
-    assert _more_partitions_than(huge, None, 10 ** 7)
-    assert _more_partitions_than(huge, 2, huge // 2)
-    assert not _more_partitions_than(huge, 2, huge // 2 + 1)
-    assert not _more_partitions_than(huge, 1, 1)
+    assert _count_within(huge, None, 10 ** 7) is None
+    assert _count_within(huge, 2, huge // 2) is None
+    assert _count_within(huge, 2, huge // 2 + 1) == huge // 2 + 1
+    assert _count_within(huge, 1, 1) == 1
+    assert _count_within(huge, 3, huge**2) == ((huge + 3) ** 2 + 6) // 12
     with pytest.raises(DomainError):
-        _more_partitions_than(-1, None, 10)
+        _count_within(-1, None, 10)
     with pytest.raises(DomainError):
-        _more_partitions_than(5, 0, 10)
+        _count_within(5, 0, 10)
 
 
 def test_enumeration_matches_brute_force():
@@ -144,6 +145,21 @@ def test_count_partitions_large_weight():
     # no recursion depth grows with k
     assert count_partitions(2000, 2) == 1001
     assert count_partitions(2000, 3) == 334334  # round((n + 3)^2 / 12)
+    # at most three parts are closed forms, at any size of k
+    huge = 10**20
+    assert count_partitions(huge, 2) == 5 * 10**19 + 1
+    assert count_partitions(huge, 3) == ((huge + 3) ** 2 + 6) // 12
+    assert count_partitions(huge, 1) == 1
+
+
+@pytest.mark.parametrize(
+    "k,max_length", [(5, 0), (5, -1), (-1, None), (3.0, None), (3, 2.0), (True, None), (3, True)]
+)
+def test_counting_and_enumeration_check_arguments_alike(k, max_length):
+    with pytest.raises(DomainError):
+        count_partitions(k, max_length)
+    with pytest.raises(DomainError):
+        enumerate_partitions(k, max_length)
 
 
 def test_transpose_examples():
