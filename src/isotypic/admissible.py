@@ -37,10 +37,10 @@ threshold 2, that the exact set rules out).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DomainError, _is_int
-from .partitions import _MAX_PART_DIGITS, Partition, enumerate_partitions
+from .partitions import _MAX_PART_DIGITS, Partition, _iter_partitions
 from .records import Record
 
 # a threshold stays below this, with as many digits as a part may have
@@ -130,17 +130,22 @@ class AdmissibleSet(_MemberOrder):
         return sorted(self.members, reverse=True) if order is None else list(order)
 
 
-def admissible_set(k: int, d: int, m: int) -> AdmissibleSet:
-    """The exact admissible set for a single symmetric group."""
+def _members(k: int, d: int, m: int) -> Iterator[Partition]:
+    # I(k, d, m) in canonical order, lazily; the arguments are checked now
     if not _is_int(k) or k < 0:
         raise DomainError("weight must be nonnegative")
     t = _clamped_threshold(d, m, k + 1)
-    members = enumerate_partitions(k)
+    members = _iter_partitions(k)
     # below the weight of the staircase (t+1, t, ..., 1) every partition is
     # a member
     if 2 * k >= (t + 1) * (t + 2):
-        members = [mu for mu in members if _staircase(mu) <= t]
-    return AdmissibleSet._in_order(k, d, m, members)
+        members = (mu for mu in members if _staircase(mu) <= t)
+    return members
+
+
+def admissible_set(k: int, d: int, m: int) -> AdmissibleSet:
+    """The exact admissible set for a single symmetric group."""
+    return AdmissibleSet._in_order(k, d, m, list(_members(k, d, m)))
 
 
 def is_admissible(mu: Sequence[int], d: int, m: int) -> bool:

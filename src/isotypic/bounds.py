@@ -67,7 +67,7 @@ that passes the cap stops before its table is built.
 from __future__ import annotations
 
 from itertools import islice
-from math import comb
+from math import comb, prod
 from typing import Iterable, Sequence
 
 from .admissible import _staircase, is_admissible, restriction_threshold
@@ -300,15 +300,13 @@ def affine_multiplicity_bound(
     """
     mu_tuple = _coerce_target(mu, params)
     thresholds = params.thresholds
+    # by the closed form, a block with s(mu) <= T has a positive sum
+    excluded = any(_staircase(c) > t for c, t in zip(mu_tuple, thresholds))
     value = 0
-    if all(_staircase(c) <= t for c, t in zip(mu_tuple, thresholds)):
+    if not excluded:
         _check_term_cap(params.weights, thresholds, cap)
-        value = 1
-        for c, t in zip(mu_tuple, thresholds):
-            value *= _block_sum(c, t)
-            if value == 0:
-                break
-    return BoundReport(value, "affine", params, mu_tuple, value == 0, _POLY_NOTE)
+        value = prod(_block_sum(c, t) for c, t in zip(mu_tuple, thresholds))
+    return BoundReport(value, "affine", params, mu_tuple, excluded, _POLY_NOTE)
 
 
 def general_position_degree(params: BoundParams) -> int:

@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from . import bounds
-from .admissible import admissible_set, is_admissible, restriction_threshold
+from .admissible import _members, is_admissible, restriction_threshold
 from .errors import DomainError, EnumerationCapExceeded, ParseError
 from .induction import Decomposition, split_module, split_multiplicity, young_module
 from .orbits import (
@@ -35,8 +35,6 @@ from .partitions import (
     parse_partition_tuple,
 )
 from .tableaux import kostka, lr_coefficient, specht_dim
-
-ISET_ENUMERATION_MAX_K = 25
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -62,16 +60,18 @@ def _emit(args, json_obj, text_lines: list[str]) -> None:
             print(line)
 
 
-def _cmd_partitions(args) -> int:
-    if _count_within(args.k, args.max_len, args.cap) is None:
-        rows = "" if args.max_len is None else f" into at most {args.max_len} parts"
-        raise EnumerationCapExceeded(
-            f"{args.k} has more partitions{rows} than the cap of {args.cap}"
-        )
+def _check_cap(args, k: int, max_len: int | None = None) -> None:
+    # before anything within Par(k) (into at most max_len parts) is enumerated
+    if _count_within(k, max_len, args.cap) is None:
+        rows = "" if max_len is None else f" into at most {max_len} parts"
+        raise EnumerationCapExceeded(f"{k} has more partitions{rows} than the cap of {args.cap}")
+
+
+def _write_listing(args, partitions) -> int:
     # printed while the partitions are enumerated, so memory stays flat;
     # the JSON form is the list json.dumps gives, and a partition's text
     # needs no escaping
-    texts = map(str, _iter_partitions(args.k, args.max_len))
+    texts = map(str, partitions)
     write = sys.stdout.write
     if args.format == "json":
         write("[")
@@ -82,6 +82,11 @@ def _cmd_partitions(args) -> int:
         for text in texts:
             write(text + "\n")
     return EXIT_OK
+
+
+def _cmd_partitions(args) -> int:
+    _check_cap(args, args.k, args.max_len)
+    return _write_listing(args, _iter_partitions(args.k, args.max_len))
 
 
 # The partition queries: subcommand, help, argument names and the library
@@ -140,28 +145,14 @@ def _cmd_iset(args) -> int:
             ["member" if verdict else "not a member"],
         )
         return EXIT_OK
-    if k > ISET_ENUMERATION_MAX_K:
-        message = f"exact enumeration is capped at k <= {ISET_ENUMERATION_MAX_K} (got k={k})"
-        try:
-            t = restriction_threshold(d, m)
-        except DomainError:
-            pass  # a threshold too long to form bounds nothing useful
-        else:
-            message += (
-                f"; outer bound from the restriction test: every member fits inside "
-                f"the union of {t} rows and {t} columns (threshold (2d)^m = {t})"
-            )
-        raise EnumerationCapExceeded(message)
-    iset = admissible_set(k, d, m)
+    members = _members(k, d, m)
+    _check_cap(args, k)
     if args.enumerate:
-        members = [str(mu) for mu in iset.sorted_members()]
-        _emit(args, members, members)
-    else:
-        count = str(len(iset))
-        json_obj = None  # only the JSON form reports T, which may be too long to form
-        if args.format == "json":
-            json_obj = {"k": k, "d": d, "m": m, "threshold": iset.threshold, "cardinality": count}
-        _emit(args, json_obj, [count])
+        return _write_listing(args, members)
+    # only the JSON form reports T, which may be too long to form
+    threshold = restriction_threshold(d, m) if args.format == "json" else None
+    count = str(sum(1 for _ in members))
+    _emit(args, {"k": k, "d": d, "m": m, "threshold": threshold, "cardinality": count}, [count])
     return EXIT_OK
 
 
@@ -283,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=bounds.DEFAULT_TERM_CAP,
         help="refuse bound sums and example H^0 sums with more terms, partitions "
-        "listings with more partitions, and lr skew shapes with more cells than this",
+        "listings and iset counts and listings over more partitions of k, and lr "
+        "skew shapes with more cells than this",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

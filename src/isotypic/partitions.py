@@ -169,7 +169,10 @@ def _row_counts(n: int) -> Iterator[list[int]]:
     # yields.  By conjugation these are the partitions of t into parts of
     # size at most j, so each step adds one allowed part size to the
     # column; a loop, so no recursion depth grows with n.
-    ways = [1] + [0] * n
+    try:
+        ways = [1] + [0] * n
+    except (OverflowError, MemoryError):
+        raise DomainError(f"a table of partition counts up to {n} does not fit in memory") from None
     yield ways
     size = 0
     while True:
@@ -183,10 +186,11 @@ def _at_most_counts(k: int, rows: int) -> Iterator[int]:
     # p(k, <= j) for j = 0..rows.  Up to three parts they are closed forms,
     # so a reader that stops there builds no table over 0..k, and
     # p(k, <= 3) = round((k + 3)^2 / 12) bounds every longer count from
-    # below; past three parts they are the columns of _row_counts at k.
+    # below; past three parts they are the columns of _row_counts at k,
+    # stopped by a range, since rows may be past the range of islice.
     yield from (int(k == 0), 1, k // 2 + 1, ((k + 3) ** 2 + 6) // 12)[: rows + 1]
     if rows > 3:
-        for column in islice(_row_counts(k), 4, rows + 1):
+        for _, column in zip(range(4, rows + 1), islice(_row_counts(k), 4, None)):
             yield column[k]
 
 

@@ -59,6 +59,8 @@ def test_g_factor_examples():
     assert g_factor([(3,)], [(3,)], 1, (1,)) == 2
     with pytest.raises(DomainError):
         g_factor([(3,)], [(2,)], 1, (1,))
+    with pytest.raises(DomainError, match="g_factor arguments must have equal arity"):
+        g_factor([(3,)], [(3,)], 1, (1, 1))
     for k in range(1, 6):
         for lam in enumerate_partitions(k):
             # trivial target: the split-multiplicity max is exactly 1

@@ -11,6 +11,7 @@ from isotypic import (
     BoundParams,
     Decomposition,
     OrbitSpec,
+    admissible_set,
     affine_multiplicity_bound,
     enumerate_partitions,
     example_variety,
@@ -136,14 +137,28 @@ def test_iset_at_the_enumeration_cutoff(capsys):
 
 
 def test_iset_enumeration_refusal(capsys):
-    code, out, err = run_cli(capsys, "iset", "26", "1", "1")
-    assert code == 4
-    assert "union of 2 rows and 2 columns" in err
+    # iset counts and lists within Par(k), and is refused exactly when
+    # partitions k is: p(26) = 2,436 answers, p(77) = 10,619,863 is above the cap
+    assert run_cli(capsys, "iset", "26", "1", "1") == (0, "50\n", "")
+    refusal = "cap exceeded: 77 has more partitions than the cap of 10000000\n"
+    assert run_cli(capsys, "partitions", "77") == (4, "", refusal)
+    for argv in (("iset", "77", "1", "1"), ("iset", "77", "1", "1", "--enumerate")):
+        assert run_cli(capsys, *argv) == (4, "", refusal)
     # a member query compares one staircase index, so it answers above the cap
     code, out, _ = run_cli(capsys, "iset", "26", "1", "1", "--member", "[3,3,3,3,3,3,3,3,2]")
     assert code == 0 and out.strip() == "not a member"
     code, out, err = run_cli(capsys, "iset", "26", "1", "1", "--member", "[26]")
     assert code == 0 and out.strip() == "member"
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (2, 1), (3, 1)])
+def test_iset_past_25_counts_and_lists_the_admissible_set(capsys, d, m):
+    for k in range(26, 41):
+        iset = admissible_set(k, d, m)
+        argv = ("iset", str(k), str(d), str(m))
+        assert run_cli(capsys, *argv) == (0, f"{len(iset)}\n", "")
+        code, out, err = run_cli(capsys, *argv, "--enumerate")
+        assert (code, out.splitlines(), err) == (0, [str(mu) for mu in iset.sorted_members()], "")
 
 
 def test_bound_commands(capsys):
@@ -223,6 +238,10 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["bound", "affine", "--k", "3", "--d", "1"])  # missing --mu
     assert exit_info.value.code == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bound", "affine", "--k", "1,x", "--d", "1", "--mu", "[1]"])
+    assert exit_info.value.code == 2
+    assert "expected comma-separated integers, got '1,x'" in capsys.readouterr().err
 
 
 def test_partition_parts_take_the_digits_int_reads(capsys):
@@ -313,16 +332,17 @@ def test_partitions_listing_does_not_hold_the_partitions():
     # Linux keeps the peak of the memory a process had before exec in its
     # ru_maxrss, so the CLI runs as the child of a small probe process and
     # the probe reports its children's peak, in KiB.
-    probe = (
-        "import resource, subprocess, sys\n"
-        "code = subprocess.run([sys.executable, '-m', 'isotypic', 'partitions', '50'],"
-        " stdout=subprocess.DEVNULL).returncode\n"
-        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-    )
-    result = run_python("-c", probe)
-    code, peak_kib = result.stdout.split()
-    assert code == "0"
-    assert int(peak_kib) < 40 * 1024
+    for argv in (("partitions", "50"), ("iset", "50", "1", "3", "--enumerate")):
+        probe = (
+            "import resource, subprocess, sys\n"
+            f"code = subprocess.run([sys.executable, '-m', 'isotypic', *{argv!r}],"
+            " stdout=subprocess.DEVNULL).returncode\n"
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        result = run_python("-c", probe)
+        code, peak_kib = result.stdout.split()
+        assert code == "0"
+        assert int(peak_kib) < 40 * 1024
 
 
 COUNTED_BEFORE_STARTING = [
@@ -349,6 +369,10 @@ COUNTED_BEFORE_STARTING = [
     ("bound", "projection", "--k", "7000", "--m", "1", "--d", "1"),
     ("bound", "projection", "--k", "100000", "--m", "1", "--d", "1"),
     ("bound", "projection", "--k", HUGE, "--m", "1", "--d", "1"),
+    # iset counts and lists within Par(k), under the cap of partitions k
+    ("iset", "77", "1", "1"),
+    ("iset", HUGE, "1", "1"),
+    ("--cap", "10", "iset", "6", "1", "1"),
 ]
 
 
@@ -387,8 +411,9 @@ def test_staircase_index_answers_before_any_count(capsys, argv, answer):
 HUGE_WIDTHS = [
     (("iset", "5", "2", HUGE), 0, "7\n"),
     (("iset", "5", "2", HUGE, "--member", "[5]"), 0, "member\n"),
-    (("iset", "30", "2", HUGE), 4, ""),
+    (("iset", "77", "2", HUGE), 4, ""),
     (("bound", "equivariant", "--k", "3", "--d", "2", "--m", "1000000000"), 3, ""),
+    (("iset", "30", "2", HUGE), 0, "5604\n"),
 ]
 
 
@@ -406,7 +431,7 @@ def test_huge_widths_end_with_a_stable_exit_code(argv, code, out):
     )
     assert (result.returncode, result.stdout) == (code, out)
     assert len(result.stderr.splitlines()) == (code != 0)
-    # the refusal names T only when T has at most as many digits as a part
+    # no refusal names the threshold, which may be too long to form
     assert "rows" not in result.stderr
 
 
@@ -425,8 +450,10 @@ def test_thresholds_beyond_the_digit_limit_are_domain_errors(capsys):
     assert run_cli(capsys, "iset", "5", "1", "15000") == (0, "7\n", "")
     code, out, _ = run_cli(capsys, "--format", "json", "iset", "5", "5", "4299")
     assert code == 0 and json.loads(out)["threshold"] == 10**4299
-    code, _, err = run_cli(capsys, "iset", "30", "5", "4299")
-    assert code == 4 and f"threshold (2d)^m = {10**4299})" in err
+    # every partition of 30 is a member at T = 10**4299; p(77) is above the cap
+    assert run_cli(capsys, "iset", "30", "5", "4299") == (0, "5604\n", "")
+    code, _, err = run_cli(capsys, "iset", "77", "5", "4299")
+    assert (code, err) == (4, "cap exceeded: 77 has more partitions than the cap of 10000000\n")
 
 
 def test_work_counts_leave_other_answers_alone(capsys):

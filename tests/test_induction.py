@@ -77,6 +77,9 @@ def test_decomposition_basics():
         Decomposition({((2,), (1,)): 1})
     empty = Decomposition({}, ambient=5)
     assert not empty and str(empty) == "0"
+    assert hash(young_module((2,))) == hash(Decomposition({(2,): 1}))
+    assert len({young_module((2,)), young_module([2])}) == 1
+    assert repr(young_module((2,))) == "Decomposition({Partition((2,)): 1}, ambient=2)"
 
 
 def test_decomposition_refuses_bools():
@@ -107,7 +110,10 @@ def test_decomposition_arithmetic():
         a + Decomposition({(3,): 1})
     assert a.total_dim() == 1
     assert young_module((1, 1, 1)).total_dim() == 6
-
+    # only decompositions compare equal to, or add to, a decomposition
+    assert (young_module((2,)) == 3) is False
+    with pytest.raises(TypeError):
+        young_module((2,)) + 3
 
 def test_decomposition_json_round_trip():
     dec = young_module((2, 1))

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import time
 from collections import Counter
 from itertools import product
@@ -150,6 +152,29 @@ def test_count_partitions_large_weight():
     assert count_partitions(huge, 2) == 5 * 10**19 + 1
     assert count_partitions(huge, 3) == ((huge + 3) ** 2 + 6) // 12
     assert count_partitions(huge, 1) == 1
+    # four or more parts take a table over 0..k, which cannot be indexed
+    for k, max_length in ((huge, None), (huge, 4), (sys.maxsize + 1, 5)):
+        with pytest.raises(DomainError, match="does not fit in memory"):
+            count_partitions(k, max_length)
+
+
+def test_count_table_larger_than_memory_is_a_domain_error():
+    # a table over 0..10**9 takes 8 GB; under a 1 GB address space the list
+    # fails its allocation, which ends as a domain error
+    probe = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))\n"
+        "from isotypic import DomainError, count_partitions\n"
+        "try:\n"
+        "    count_partitions(10**9)\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            timeout=20)
+    assert (result.stdout, result.stderr) == (
+        "a table of partition counts up to 1000000000 does not fit in memory\n", ""
+    )
 
 
 @pytest.mark.parametrize(
@@ -307,3 +332,9 @@ def test_parse_error_positions(text, position):
     with pytest.raises(ParseError) as err:
         parse_partition(text)
     assert err.value.position == position
+
+
+def test_parse_tuple_error_between_components():
+    with pytest.raises(ParseError) as err:
+        parse_partition_tuple("[2]x")
+    assert str(err.value) == "expected ';' at position 3" and err.value.position == 3
