@@ -119,7 +119,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_lr(args) -> int:
-    # the tableau fill lists the skew cells of nu/lam before it places any;
+    # the tableau fill visits each skew cell of nu/lam and keeps one value per cell;
     # inputs it would not fill (unequal weights, lam outside nu) pass through
     nu, lam, mu = _parse_query_args(args)
     cells = nu.weight - lam.weight

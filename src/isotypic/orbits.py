@@ -54,7 +54,7 @@ class OrbitSpec(Record):
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrbitSpec":
         return cls(
-            int(data["k"]),
+            data["k"],
             tuple(
                 (orbit["label"], parse_partition(orbit["stabilizer"]))
                 for orbit in data["orbits"]

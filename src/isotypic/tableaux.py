@@ -8,17 +8,14 @@ weight c in f^rho ways (a standard tableau read backwards), so every peel
 ends the same way: the hook-length formula counts the ones left on each
 shape of the last layer, and f^() = 1 when none are left.  Strips are
 enumerated by three loops that scan the shape's runs of equal rows depth
-first: horizontal strips above a shape, and horizontal and vertical strips
-below it.  Each stops a shape as soon as its cells run out and copies the
-rows below as one slice.  A horizontal strip holds at most one cell per
-column, so in a run only the top row can grow and only the lowest row can
-shrink.  A vertical strip holds at most one cell per row, so in a run the
-lowest j rows shrink by a cell each.  No enumerator recurses or
-transposes, so tall and wide shapes cost no recursion depth.  The vertical
-strips above a shape are the conjugates of the horizontal strips above
-its conjugate, so the forward build in ``induction`` takes its sign side
-as horizontal strips and conjugates it once; the peel interleaves its
-sides, so it keeps a vertical loop of its own.
+first, without recursion: horizontal strips above a shape, and horizontal
+and vertical strips below it.  The forward build in ``induction`` takes
+its sign side as horizontal strips above the conjugate and conjugates it
+once; the peel interleaves its sides, so it keeps a vertical loop.
+
+LR coefficients come from a tableau fill in reverse reading order, a loop
+over an explicit stack that keeps only the value at each filled cell, the
+count of each value and two ints per row (``_lr``).
 
 Every enumerator takes and returns plain tuples, in descending order.  The
 forward one (``_horizontal_strips_above``) is the kernel of the forward
@@ -266,43 +263,47 @@ def kostka(mu: Sequence[int], lam: Sequence[int]) -> int:
 @lru_cache(maxsize=None)
 def _lr(nu: Partition, lam: Partition, mu: Partition) -> int:
     # Fill the skew cells of nu/lam in reverse reading order (rows top to
-    # bottom, right to left) with content mu.  Filling in this order makes
-    # the lattice-word property a running prefix condition on value counts;
-    # row/column admissibility only ever looks at already placed neighbours.
-    # The fill is a loop over an explicit stack, so a long skew shape needs
-    # no recursion depth.
-    cells = [
-        (i, j)
-        for i in range(len(nu))
-        for j in range(nu[i] - 1, lam.part(i) - 1, -1)
-    ]
+    # bottom, right to left) with content mu, so that the lattice-word
+    # property is a running prefix condition on value counts.  A cell's right
+    # neighbour is the cell before it, unless it starts its row, and the first
+    # nu_i - lam_{i-1} cells of row i have one above, exactly that many cells
+    # back: the state is the placed values and their counts.
+    rows = []  # (first cell, cells with a cell above) of each nonempty row
+    cells = 0
+    for i, part in enumerate(nu):
+        if part > lam.part(i):
+            rows.append((cells, part - lam.part(i - 1) if i else 0))
+            cells += part - lam.part(i)
+    rows.append((cells, 0))
     values = len(mu)
-    remaining = list(mu)
     counts = [0] * values
-    grid: dict[tuple[int, int], int] = {}
     placed: list[int] = []  # the value at each filled cell, in filling order
     total = 0
+    r = 0  # the row of the next empty cell; a step moves it by at most one
     v = 1  # the smallest value still to try at the next empty cell
     while True:
-        if len(placed) == len(cells):
+        n = len(placed)
+        if n == cells:
             total += 1
             v = values + 1  # a complete filling: backtrack
         else:
-            i, j = cells[len(placed)]
-            right = grid.get((i, j + 1), values)
-            above = grid[(i - 1, j)] if i > 0 and j >= lam.part(i - 1) else 0
+            if n < rows[r][0]:
+                r -= 1
+            elif n == rows[r + 1][0]:
+                r += 1
+            start, up = rows[r]
+            right = placed[-1] if n > start else values
+            above = placed[n - up] if n - start < up else 0
             while v <= values and (
-                remaining[v - 1] == 0
+                counts[v - 1] == mu[v - 1]
                 # lattice word: entry v may not outrun entry v-1
-                or (v > 1 and counts[v - 1] + 1 > counts[v - 2])
+                or (v > 1 and counts[v - 1] == counts[v - 2])
                 or right < v
                 or above >= v
             ):
                 v += 1
         if v <= values:
-            remaining[v - 1] -= 1
             counts[v - 1] += 1
-            grid[(i, j)] = v
             placed.append(v)
             v = 1
         elif not placed:
@@ -310,9 +311,7 @@ def _lr(nu: Partition, lam: Partition, mu: Partition) -> int:
         else:
             # take back the last value and try the next larger one there
             v = placed.pop()
-            del grid[cells[len(placed)]]
             counts[v - 1] -= 1
-            remaining[v - 1] += 1
             v += 1
 
 

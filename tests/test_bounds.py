@@ -93,6 +93,37 @@ def test_affine_bound_equals_equivariant_at_trivial_target():
                 assert affine.value == equi.value
 
 
+def affine_value_and_flag(mu, params):
+    report = affine_multiplicity_bound(mu, params)
+    return report.value, report.excluded
+
+
+def test_affine_bound_is_unchanged_when_a_block_is_conjugated():
+    # omega maps h_alpha e_beta to e_alpha h_beta, so mu' has mu's best split
+    # multiplicity with the sides of every split swapped, and the staircase
+    # is self-conjugate, so s(mu') = s(mu): value and flag stay
+    for m in (1, 2, 3, 4):  # T = 2, 4, 8, 16
+        for k in range(1, 11):
+            params = BoundParams((k,), (m,), 1)
+            for mu in enumerate_partitions(k):
+                assert affine_value_and_flag(mu, params) == affine_value_and_flag(
+                    mu.transpose(), params
+                )
+    # beyond the oracles: k = 100 at T = 4 and k = 36 at T = 8
+    for mu, m in (((90, 5, 3, 2), 2), ((30, 3, 2, 1), 3)):
+        params = BoundParams((sum(mu),), (m,), 1)
+        given = affine_value_and_flag(mu, params)
+        assert given[0] > 0 and not given[1]
+        assert affine_value_and_flag(Partition(mu).transpose(), params) == given
+    # one block of two conjugated, the other left as it is
+    params = BoundParams((5, 3), (1, 2), 1)
+    for first in enumerate_partitions(5):
+        for second in enumerate_partitions(3):
+            assert affine_value_and_flag([first, second], params) == affine_value_and_flag(
+                [first.transpose(), second], params
+            )
+
+
 def test_equivariant_examples():
     assert equivariant_bound((3,), (1,), 1).value == 6
     for d in (1, 2, 3):

@@ -228,6 +228,21 @@ def test_mv_check_bad_inputs(tmp_path, capsys):
     assert code == 3 and "malformed orbit spec" in err
 
 
+def test_mv_check_refuses_a_letter_count_that_is_not_an_int(tmp_path, capsys):
+    # k is checked as the spec gives it, not after int() has truncated,
+    # parsed or counted it
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"k": 2, "orbits": [{"label": "a", "stabilizer": "[2]"}]}))
+    assert run_cli(capsys, "mv-check", str(good), str(good))[:2] == (0, "mv-inequality holds\n")
+    for k in (2.9, 2.0, True, "2", None):
+        bad = tmp_path / "bad.json"
+        stabilizer = "[1]" if k is True else "[2]"
+        bad.write_text(json.dumps({"k": k, "orbits": [{"label": "a", "stabilizer": stabilizer}]}))
+        for spec1, spec2 in ((bad, good), (good, bad)):
+            code, out, err = run_cli(capsys, "mv-check", str(spec1), str(spec2))
+            assert (code, out) == (3, "") and err.startswith("domain error:")
+
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "dim", "[2,1")
     assert code == 2 and "position" in err

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb, factorial
 
 import pytest
@@ -21,6 +22,7 @@ from isotypic.tableaux import (
     _PEEL_MEMO,
     _horizontal_strips_above,
     _horizontal_strips_below,
+    _lr,
     _peel,
     _specht_dim,
     _split_strips,
@@ -176,6 +178,37 @@ def test_lr_induced_dimension_identity():
                         for nu in enumerate_partitions(total)
                     )
                     assert induced == specht_dim(lam) * specht_dim(mu) * comb(total, a)
+
+
+def test_lr_pieri_on_long_rows_and_columns():
+    # Pieri: nu/(n) must be a horizontal strip, so c^nu_{(n),(n)} is 1 on
+    # the two-row shapes and 0 once a column holds two skew cells.  The
+    # rows are far longer than any oracle reaches, and the conjugates turn
+    # them into long columns, where cells have cells above them.
+    n = 500
+    column = (1,) * n
+    for j in range(n + 1):
+        nu = Partition((2 * n - j, j) if j else (2 * n,))
+        assert lr_coefficient(nu, (n,), (n,)) == 1
+        if j % 25 == 0:  # a column fill backtracks over all n values
+            assert lr_coefficient(nu.transpose(), column, column) == 1
+    nu = Partition((2 * n - 2, 1, 1))
+    assert lr_coefficient(nu, (n,), (n,)) == 0
+    assert lr_coefficient(nu.transpose(), column, column) == 0
+
+
+def test_lr_fill_memory_per_skew_cell():
+    # the fill keeps one list slot (8 bytes) per skew cell and two ints per
+    # row, so 24 bytes a cell leaves room for the list's over-allocation
+    cells = 300_000
+    row = Partition((cells,))
+    tracemalloc.start()
+    try:
+        assert _lr.__wrapped__(row, Partition(), row) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * cells
 
 
 def test_strip_extensions_and_restrictions_are_inverse():
