@@ -11,7 +11,7 @@ size r of the largest staircase (r, r-1, ..., 1) inside mu.  Membership is
 one comparison with s <= k, found in O(s) steps, and made with min(T, k+1),
 so a huge T is never formed.  The least partition outside
 I(k, d, m) is the staircase (T+1, T, ..., 1), so below its weight
-(T+1)(T+2)/2 every partition of k is admissible and ``admissible_set`` runs
+(T+1)(T+2)/2 every partition of k is admissible and listing the set runs
 no test at all.  Proof in three steps.  The partitions of length at most T
 and their splits give every pair (alpha, beta) with l(alpha) + l(beta) <= T,
 and the split module of (alpha, beta) is the induction product of the Young
@@ -88,64 +88,65 @@ def _staircase(mu: Sequence[int]) -> int:
     return best
 
 
-class _MemberOrder(Record):
-    # One slot outside the record's fields: the members in canonical order,
-    # set only when the record is built from a list already in that order.
-    # Equality, hash, repr and pickling see only the subclass's
-    # ``__slots__``, so a copy or an unpickled record sorts again.
-    __slots__ = ("_order",)
+class AdmissibleSet(Record):
+    """The admissible set I(k, d, m), held as its parameters.
 
+    Every answer is read from the closed form s(mu) <= T: iterating yields
+    the members in canonical (descending) order, lazily; ``in`` is a weight
+    check and ``is_admissible``; ``len``, ``members`` and ``sorted_members``
+    enumerate on each call.
+    """
 
-class AdmissibleSet(_MemberOrder):
-    """The admissible set I(k, d, m) together with its parameters."""
+    __slots__ = ("k", "d", "m")
 
-    __slots__ = ("k", "d", "m", "members")
-
-    def __init__(self, k: int, d: int, m: int, members: frozenset):
-        self._set(k, d, m, members)
-
-    @classmethod
-    def _in_order(cls, k: int, d: int, m: int, members: list) -> "AdmissibleSet":
-        # members already in canonical (descending) order, which is kept
-        self = cls(k, d, m, frozenset(members))
-        object.__setattr__(self, "_order", members)
-        return self
+    def __init__(self, k: int, d: int, m: int):
+        if not _is_int(k) or k < 0:
+            raise DomainError("weight must be nonnegative")
+        _clamped_threshold(d, m, k + 1)
+        self._set(k, d, m)
 
     @property
     def threshold(self) -> int:
         return restriction_threshold(self.d, self.m)
 
+    def __iter__(self) -> Iterator[Partition]:
+        k = self.k
+        t = _clamped_threshold(self.d, self.m, k + 1)
+        members = _iter_partitions(k)
+        # below the weight of the staircase (t+1, t, ..., 1) every partition is
+        # a member
+        if 2 * k >= (t + 1) * (t + 2):
+            members = (mu for mu in members if _staircase(mu) <= t)
+        return members
+
     def __contains__(self, mu) -> bool:
+        # a value that is not a partition, or of another weight, is no member
         try:
-            return Partition(mu) in self.members
+            mu = Partition(mu)
         except DomainError:
             return False
+        return mu.weight == self.k and is_admissible(mu, self.d, self.m)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return sum(1 for _ in self)
+
+    def __bool__(self) -> bool:
+        # (k) is always a member, s((k)) <= 1; no enumeration to find one
+        return True
+
+    @property
+    def members(self) -> frozenset:
+        return frozenset(self)
 
     def sorted_members(self) -> list:
         """The members in canonical (descending) order, as a new list."""
-        order = getattr(self, "_order", None)
-        return sorted(self.members, reverse=True) if order is None else list(order)
-
-
-def _members(k: int, d: int, m: int) -> Iterator[Partition]:
-    # I(k, d, m) in canonical order, lazily; the arguments are checked now
-    if not _is_int(k) or k < 0:
-        raise DomainError("weight must be nonnegative")
-    t = _clamped_threshold(d, m, k + 1)
-    members = _iter_partitions(k)
-    # below the weight of the staircase (t+1, t, ..., 1) every partition is
-    # a member
-    if 2 * k >= (t + 1) * (t + 2):
-        members = (mu for mu in members if _staircase(mu) <= t)
-    return members
+        # list(self) would ask len() for a size hint: a second enumeration
+        return list(iter(self))
 
 
 def admissible_set(k: int, d: int, m: int) -> AdmissibleSet:
     """The exact admissible set for a single symmetric group."""
-    return AdmissibleSet._in_order(k, d, m, list(_members(k, d, m)))
+    return AdmissibleSet(k, d, m)
 
 
 def is_admissible(mu: Sequence[int], d: int, m: int) -> bool:

@@ -372,7 +372,7 @@ def complex_multiplicity_bound(
     """
     doubled = BoundParams(params.weights, [2 * m for m in params.widths], params.degree)
     affine = affine_multiplicity_bound(mu, doubled, cap=cap)
-    excluded = affine.excluded and any(
+    excluded = any(
         not is_admissible(c, 2 * params.degree, 2 * m)
         for c, m in zip(affine.target, params.widths)
     )

@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from . import bounds
-from .admissible import _members, is_admissible, restriction_threshold
+from .admissible import admissible_set
 from .errors import DomainError, EnumerationCapExceeded, ParseError
 from .induction import Decomposition, split_module, split_multiplicity, young_module
 from .orbits import (
@@ -138,20 +138,20 @@ def _cmd_iset(args) -> int:
         mu = parse_partition(args.member)
         if mu.weight != k:
             raise DomainError(f"{mu} does not partition {k}")
-        verdict = is_admissible(mu, d, m)
+        verdict = mu in admissible_set(k, d, m)
         _emit(
             args,
             {"mu": str(mu), "member": verdict},
             ["member" if verdict else "not a member"],
         )
         return EXIT_OK
-    members = _members(k, d, m)
+    iset = admissible_set(k, d, m)
     _check_cap(args, k)
     if args.enumerate:
-        return _write_listing(args, members)
+        return _write_listing(args, iset)
     # only the JSON form reports T, which may be too long to form
-    threshold = restriction_threshold(d, m) if args.format == "json" else None
-    count = str(sum(1 for _ in members))
+    threshold = iset.threshold if args.format == "json" else None
+    count = str(len(iset))
     _emit(args, {"k": k, "d": d, "m": m, "threshold": threshold, "cardinality": count}, [count])
     return EXIT_OK
 

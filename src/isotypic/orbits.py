@@ -23,7 +23,9 @@ class OrbitSpec(Record):
     __slots__ = ("k", "orbits")
 
     def __init__(self, k: int, orbits: Sequence[tuple[str, Sequence[int]]]):
-        if not _is_int(k) or k < 0:
+        if not _is_int(k):
+            raise DomainError(f"letter count must be an integer, got {k!r}")
+        if k < 0:
             raise DomainError("letter count must be nonnegative")
         seen = set()
         clean = []

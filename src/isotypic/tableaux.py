@@ -283,26 +283,27 @@ def _lr(nu: Partition, lam: Partition, mu: Partition) -> int:
     v = 1  # the smallest value still to try at the next empty cell
     while True:
         n = len(placed)
+        last = 0  # the largest value the next cell may take
         if n == cells:
-            total += 1
-            v = values + 1  # a complete filling: backtrack
+            total += 1  # a complete filling: backtrack
         else:
             if n < rows[r][0]:
                 r -= 1
             elif n == rows[r + 1][0]:
                 r += 1
             start, up = rows[r]
-            right = placed[-1] if n > start else values
-            above = placed[n - up] if n - start < up else 0
-            while v <= values and (
+            # rows weakly increase to the right, columns strictly downwards
+            last = placed[-1] if n > start else values
+            if n - start < up and v <= placed[n - up]:
+                v = placed[n - up] + 1
+            while v <= last and (
                 counts[v - 1] == mu[v - 1]
                 # lattice word: entry v may not outrun entry v-1
                 or (v > 1 and counts[v - 1] == counts[v - 2])
-                or right < v
-                or above >= v
             ):
-                v += 1
-        if v <= values:
+                # counts fall weakly with the value: past a 0 count no value passes
+                v = v + 1 if v == 1 or counts[v - 2] else last + 1
+        if v <= last:
             counts[v - 1] += 1
             placed.append(v)
             v = 1

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -182,13 +183,6 @@ def test_admissible_set_record_fields():
         assert (value in admissible_set(3, 1, 1)) is False
 
 
-def test_membership_helper_agrees_with_enumeration():
-    for k in range(1, 9):
-        iset = admissible_set(k, 1, 1)
-        for mu in enumerate_partitions(k):
-            assert is_admissible(mu, 1, 1) == (mu in iset)
-
-
 def forward_pieri_union(k, t):
     """The admissible set as its definition reads: the support of every
     split module of every partition of k with at most t parts."""
@@ -196,6 +190,65 @@ def forward_pieri_union(k, t):
     for lam in enumerate_partitions(k, t):
         members |= reachable_from(lam)
     return members
+
+
+def test_membership_helper_agrees_with_enumeration():
+    # ``in`` answers from the closed form, so its check is the definition:
+    # the forward Pieri union, at T = 2, 4 and 8
+    for d, m in [(1, 1), (1, 2), (1, 3)]:
+        t = restriction_threshold(d, m)
+        for k in range(13):
+            iset = admissible_set(k, d, m)
+            union = forward_pieri_union(k, t)
+            for mu in enumerate_partitions(k):
+                assert (mu in iset) == (mu in union) == is_admissible(mu, d, m)
+            # another weight is never a member, whatever its staircase index
+            for mu in enumerate_partitions(k + 1):
+                assert mu not in iset
+        assert () in admissible_set(0, d, m) and (1,) not in admissible_set(0, d, m)
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2)])
+def test_listing_size_and_members_read_one_stream(d, m):
+    t = restriction_threshold(d, m)
+    for k in range(26):
+        iset = admissible_set(k, d, m)
+        expected = [mu for mu in enumerate_partitions(k) if _staircase(mu) <= t]
+        assert iset.sorted_members() == list(iset) == expected
+        assert iset.members == frozenset(expected) and type(iset.members) is frozenset
+        assert len(iset) == len(expected)
+
+
+def test_listing_and_truth_take_no_count(monkeypatch):
+    # list(record) would ask len() for a size hint and enumerate twice
+    def refuse(self):
+        raise AssertionError("len() enumerates the set")
+
+    monkeypatch.setattr(AdmissibleSet, "__len__", refuse)
+    iset = admissible_set(8, 1, 1)
+    assert len(iset.sorted_members()) == len(iset.members) == ISET_CARDS_D1_M1[7]
+    assert iset
+
+
+def test_membership_at_k_60_holds_no_members():
+    # the record is its parameters: p(60) is nearly a million, and neither
+    # building the set nor asking it enumerates any of them
+    tracemalloc.start()
+    try:
+        iset = admissible_set(60, 1, 3)
+        verdicts = [
+            mu in iset
+            for mu in (
+                (60,), (1,) * 60, (52, 8), (30, 30), staircase(8) + (1,) * 15,
+                staircase(8)[1:] + (1,) * 24, (59,), (61,), (60, 0), "abc",
+            )
+        ]
+        assert iset and admissible_set(0, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts == [True, True, True, True, False, True, False, False, False, False]
+    assert peak < 1_000_000
 
 
 def staircase(t):

@@ -221,16 +221,19 @@ def test_complex_bound_excluded_fast_path():
 
 
 def test_complex_bound_is_affine_at_doubled_widths():
-    # no value is zero at k <= 8; the staircase (5,4,3,2,1) is zero at
-    # widths 2 but a member at (4d)^(2m) = 16, and the 17x17 square is neither
+    # no value is zero at k <= 11; the staircase (5,4,3,2,1) is zero at
+    # widths 2 but a member at (4d)^(2m) = 16, and the 17x17 square and the
+    # staircase (17, 16, ..., 1), s = 17 > 16, are neither.  The flag is the
+    # membership test alone, since s > (4d)^(2m) implies s > (2d)^(2m)
     cases = [
         (mu, d, m)
-        for k in range(1, 9)
+        for k in range(1, 12)
         for d in (1, 2)
         for m in (1, 2)
         for mu in enumerate_partitions(k)
     ]
     cases += [(Partition((5, 4, 3, 2, 1)), 1, 1), (Partition((17,) * 17), 1, 1)]
+    cases += [(Partition(range(17, 0, -1)), 1, 1)]
     outcomes = set()
     for mu, d, m in cases:
         k = mu.weight
@@ -243,6 +246,7 @@ def test_complex_bound_is_affine_at_doubled_widths():
         assert cplx.excluded == (not is_admissible(mu, 2 * d, 2 * m))
         outcomes.add((cplx.value == 0, cplx.excluded))
     assert outcomes == {(False, False), (True, False), (True, True)}
+    assert cplx.value == 0 and cplx.excluded  # the staircase (17, 16, ..., 1)
 
 
 def test_projective_bound_golden_values():

@@ -234,13 +234,18 @@ def test_mv_check_refuses_a_letter_count_that_is_not_an_int(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"k": 2, "orbits": [{"label": "a", "stabilizer": "[2]"}]}))
     assert run_cli(capsys, "mv-check", str(good), str(good))[:2] == (0, "mv-inequality holds\n")
-    for k in (2.9, 2.0, True, "2", None):
+    for k, shown in ((2.9, "2.9"), (2.0, "2.0"), (True, "True"), ("2", "'2'"), (None, "None")):
         bad = tmp_path / "bad.json"
         stabilizer = "[1]" if k is True else "[2]"
         bad.write_text(json.dumps({"k": k, "orbits": [{"label": "a", "stabilizer": stabilizer}]}))
         for spec1, spec2 in ((bad, good), (good, bad)):
             code, out, err = run_cli(capsys, "mv-check", str(spec1), str(spec2))
-            assert (code, out) == (3, "") and err.startswith("domain error:")
+            assert (code, out) == (3, "")
+            assert err == f"domain error: letter count must be an integer, got {shown}\n"
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({"k": -1, "orbits": []}))
+    code, out, err = run_cli(capsys, "mv-check", str(negative), str(good))
+    assert (code, out, err) == (3, "", "domain error: letter count must be nonnegative\n")
 
 
 def test_exit_codes(capsys):

@@ -29,10 +29,8 @@ def sample_records():
 
 
 def test_positional_and_keyword_construction():
-    members = frozenset({Partition((2,))})
-    assert AdmissibleSet(2, 1, 1, members) == AdmissibleSet(
-        k=2, d=1, m=1, members=members
-    )
+    assert AdmissibleSet(2, 1, 1) == AdmissibleSet(k=2, d=1, m=1)
+    assert AdmissibleSet(2, 1, 1).members == frozenset({Partition((2,)), Partition((1, 1))})
     assert BoundParams((3, 2), (1, 2), 2, 4) == BoundParams(
         degree=2, polys=4, widths=(1, 2), weights=(3, 2)
     )
@@ -72,6 +70,15 @@ def test_normalisation():
         (lambda: BoundParams((3,), (1,), 0), "degree must be positive"),
         (lambda: BoundParams((3,), (1,), 1, 0), "number of polynomials must be positive"),
         (lambda: OrbitSpec(-1, ()), "letter count must be nonnegative"),
+        (lambda: OrbitSpec(2.9, ()), "letter count must be an integer, got 2.9"),
+        (lambda: OrbitSpec(-2.5, ()), "letter count must be an integer, got -2.5"),
+        (lambda: OrbitSpec(True, ()), "letter count must be an integer, got True"),
+        (lambda: OrbitSpec("2", ()), "letter count must be an integer, got '2'"),
+        (lambda: OrbitSpec(None, ()), "letter count must be an integer, got None"),
+        (lambda: AdmissibleSet(-1, 1, 1), "weight must be nonnegative"),
+        (lambda: AdmissibleSet(3.0, 1, 1), "weight must be nonnegative"),
+        (lambda: AdmissibleSet(3, 0, 1), "degree and width must be positive"),
+        (lambda: AdmissibleSet(-1, 0, 1), "weight must be nonnegative"),
         (lambda: OrbitSpec(3, (("a", (2,)),)), "stabilizer [2] of orbit 'a' does not partition 3"),
         (lambda: OrbitSpec(2, (("a", (2,)), ("a", (1, 1)))), "duplicate orbit label 'a'"),
     ],
@@ -135,9 +142,7 @@ def test_records_are_immutable(record):
 
 def test_repr_form():
     params = BoundParams([3, 2], [1, 2], 2)
-    assert repr(AdmissibleSet(3, 1, 1, frozenset({Partition((3,))}))) == (
-        "AdmissibleSet(k=3, d=1, m=1, members=frozenset({Partition((3,))}))"
-    )
+    assert repr(AdmissibleSet(3, 1, 1)) == "AdmissibleSet(k=3, d=1, m=1)"
     assert repr(params) == "BoundParams(weights=(3, 2), widths=(1, 2), degree=2, polys=None)"
     assert repr(BoundReport(6, "affine", params, PartitionTuple([(3,)]))) == (
         "BoundReport(value=6, theorem='affine', params=BoundParams(weights=(3, 2), "

@@ -190,8 +190,7 @@ def test_lr_pieri_on_long_rows_and_columns():
     for j in range(n + 1):
         nu = Partition((2 * n - j, j) if j else (2 * n,))
         assert lr_coefficient(nu, (n,), (n,)) == 1
-        if j % 25 == 0:  # a column fill backtracks over all n values
-            assert lr_coefficient(nu.transpose(), column, column) == 1
+        assert lr_coefficient(nu.transpose(), column, column) == 1
     nu = Partition((2 * n - 2, 1, 1))
     assert lr_coefficient(nu, (n,), (n,)) == 0
     assert lr_coefficient(nu.transpose(), column, column) == 0
