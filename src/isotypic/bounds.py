@@ -68,11 +68,11 @@ from __future__ import annotations
 
 from itertools import islice
 from math import comb, prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .admissible import _staircase, is_admissible, restriction_threshold
 from .errors import DomainError, EnumerationCapExceeded, _is_int
-from .partitions import Partition, PartitionTuple, _at_most_counts, _row_counts, splits
+from .partitions import Partition, PartitionTuple, _at_most_counts, _length_sum, _row_counts, splits
 from .records import Record
 from .tableaux import _one_cell_tail, _peel, _peel_step, _split_strips
 
@@ -161,21 +161,6 @@ def _coerce_target(mu, params: BoundParams) -> PartitionTuple:
             f"target weights {target.weights} do not match block weights {params.weights}"
         )
     return target
-
-
-def _length_sum(counts: Iterable[int], t: int, cap: int) -> tuple[int, int] | None:
-    # Sum of t**len(lam) over the partitions counted by a stream of running
-    # at-most-length counts, j = 0, 1, 2, ...: those with exactly j parts
-    # are count j less count j - 1.  The count only grows with j, so the
-    # sum is dropped (None) at the first count past the cap.  Returns the
-    # number of partitions and the sum.
-    value = counted = 0
-    for j, within in enumerate(counts):
-        if within > cap:
-            return None
-        value += (within - counted) * t**j
-        counted = within
-    return counted, value
 
 
 def _check_term_cap(weights, thresholds, cap: int) -> int:

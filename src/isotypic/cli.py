@@ -132,8 +132,6 @@ def _cmd_lr(args) -> int:
 
 def _cmd_iset(args) -> int:
     k, d, m = args.k, args.d, args.m
-    if d < 1 or m < 1:
-        raise DomainError("d and m must be positive")
     if args.member is not None:
         mu = parse_partition(args.member)
         if mu.weight != k:

@@ -5,17 +5,17 @@ symmetric group up to isomorphism, as a multiplicity map over irreducibles:
 its keys are :class:`Partition` values and its ambient is the weight they
 share.  All combinators return fresh values.
 
-Young modules and split modules are built forward from the empty shape by
-one horizontal Pieri step per part (``_pieri_step``), the only forward
-kernel; the sign parts come first, and their table is conjugated once
-before the trivial parts are added.  The table is keyed by plain tuples,
-which become partitions once, when the module is wrapped.  A step of one
-cell adds a cell at each addable corner in the kernel's own loop.  One
-unbounded cache, ``_split_module``, keeps each module by its trivial and
-sign sides; a Young module is the split module with no sign side.
-Callers share the cached values, which no combinator changes.  A single
-split multiplicity is peeled backwards instead (``tableaux._peel``), from
-a bounded memo.
+Young modules and split modules are built forward from the empty shape,
+and an outer product's shapes from its longer key, by one horizontal Pieri
+step per part (``_pieri_step``), the only forward kernel; the sign parts
+come first, and their table is conjugated once before the trivial parts
+are added.  Tables are keyed by plain tuples, which become partitions
+once, when the module is wrapped.  A step of one cell adds a cell at each
+addable corner in the kernel's own loop.  One unbounded cache,
+``_split_module``, keeps each module by its trivial and sign sides; a
+Young module is the split module with no sign side.  Callers share the
+cached values, which no combinator changes.  A single split multiplicity
+is peeled backwards instead (``tableaux._peel``), from a bounded memo.
 """
 
 from __future__ import annotations
@@ -25,14 +25,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, _is_int
-from .partitions import Partition, _conjugate, enumerate_partitions, parse_partition, splits
-from .tableaux import (
-    _horizontal_strips_above,
-    _peel,
-    _split_strips,
-    lr_coefficient,
-    specht_dim,
-)
+from .partitions import Partition, _conjugate, parse_partition, splits
+from .tableaux import _horizontal_strips_above, _lr, _peel, _split_strips, specht_dim
 
 
 class Decomposition:
@@ -197,18 +191,28 @@ def _pieri_step(table: dict, n: int) -> dict:
 def outer_product(d1: Decomposition, d2: Decomposition) -> Decomposition:
     """Bilinear extension of induction from a two-factor subgroup.
 
-    On irreducibles the coefficients are the Littlewood-Richardson numbers.
+    On irreducibles the coefficients are the Littlewood-Richardson numbers,
+    tried only on the shapes the forward Pieri kernel reaches: h_mu holds
+    s_mu once (K_mu,mu = 1) and the rest with nonnegative coefficients, so
+    every nu with c^nu_lam,mu != 0 is in the support of s_lam h_mu, one
+    Pieri step per part of mu forward from lam.  As c^nu_lam,mu =
+    c^nu_mu,lam, the key with more parts is the base (lam on a tie), and
+    the table steps by the parts of the other.
     """
-    k = d1.ambient + d2.ambient
-    candidates = enumerate_partitions(k)
     terms: dict = {}
-    for lam, c1 in d1.items():
-        for mu, c2 in d2.items():
-            for nu in candidates:
-                c = lr_coefficient(nu, lam, mu)
+    for lam, c1 in d1._terms.items():
+        for mu, c2 in d2._terms.items():
+            base, other = (lam, mu) if len(lam) >= len(mu) else (mu, lam)
+            table: dict = {base: 1}
+            for part in other:
+                table = _pieri_step(table, part)
+            for nu in table:
+                c = _lr(nu, base, other)
                 if c:
                     terms[nu] = terms.get(nu, 0) + c1 * c2 * c
-    return Decomposition(terms, ambient=k)
+    wrap = Partition._from_valid
+    terms = {wrap(nu): mult for nu, mult in terms.items()}
+    return Decomposition._from_valid(terms, d1.ambient + d2.ambient)
 
 
 @lru_cache(maxsize=None)

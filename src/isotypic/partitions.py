@@ -194,6 +194,21 @@ def _at_most_counts(k: int, rows: int) -> Iterator[int]:
             yield column[k]
 
 
+def _length_sum(counts: Iterable[int], t: int, cap: int) -> tuple[int, int] | None:
+    # Sum of t**len(lam) over the partitions counted by a stream of running
+    # at-most-length counts, j = 0, 1, 2, ...: those with exactly j parts
+    # are count j less count j - 1.  The count only grows with j, so the
+    # sum is dropped (None) at the first count past the cap.  Returns the
+    # number of partitions and the sum.
+    value = counted = 0
+    for j, within in enumerate(counts):
+        if within > cap:
+            return None
+        value += (within - counted) * t**j
+        counted = within
+    return counted, value
+
+
 def count_partitions(k: int, max_length: int | None = None) -> int:
     """card(Par(k)) or card(Par(k, max_length)), without enumerating.
 
@@ -208,12 +223,10 @@ def _count_within(k: int, max_length: int | None, cap) -> int | None:
     Checked before anything is enumerated, and the count stops at the
     first at-most-length count above ``cap``: a huge k is refused by the
     closed forms before any table is built, and past them the table over
-    0..k has about sqrt(12 cap) entries.
+    0..k has about sqrt(12 cap) entries.  At t = 1 the length sum counts.
     """
-    for count in _at_most_counts(k, _row_bound(k, max_length)):
-        if count > cap:
-            return None
-    return count
+    within = _length_sum(_at_most_counts(k, _row_bound(k, max_length)), 1, cap)
+    return None if within is None else within[0]
 
 
 def dominates(mu: Sequence[int], lam: Sequence[int]) -> bool:

@@ -1,6 +1,6 @@
 """Check paths shared by the test modules."""
 
-from isotypic import Partition, enumerate_partitions, kostka, lr_coefficient
+from isotypic import Decomposition, Partition, enumerate_partitions, kostka, lr_coefficient
 
 
 def kostka_lr_split_multiplicity(mu, triv, sign):
@@ -25,3 +25,18 @@ def kostka_lr_split_multiplicity(mu, triv, sign):
             if c:
                 total += c1 * c2 * c
     return total
+
+
+def scan_outer_product(d1, d2):
+    """The outer product by trying every partition of the total weight
+    against ``lr_coefficient``, the check path for the Pieri-table build."""
+    k = d1.ambient + d2.ambient
+    candidates = enumerate_partitions(k)
+    terms = {}
+    for lam, c1 in d1.items():
+        for mu, c2 in d2.items():
+            for nu in candidates:
+                c = lr_coefficient(nu, lam, mu)
+                if c:
+                    terms[nu] = terms.get(nu, 0) + c1 * c2 * c
+    return Decomposition(terms, ambient=k)

@@ -123,6 +123,15 @@ def test_iset_command(capsys):
     }
     code, out, _ = run_cli(capsys, "iset", "4", "1", "1", "--enumerate")
     assert out.splitlines() == ["[4]", "[3,1]", "[2,2]", "[2,1,1]", "[1,1,1,1]"]
+    # d and m are checked once, by the admissible set, after k and --member
+    refusals = [
+        (("3", "0", "1"), 3, "domain error: degree and width must be positive\n"),
+        (("-1", "0", "1"), 3, "domain error: weight must be nonnegative\n"),
+        (("3", "0", "1", "--member", "[2]"), 3, "domain error: [2] does not partition 3\n"),
+        (("3", "0", "1", "--member", "[x]"), 2, "parse error: expected integer at position 1\n"),
+    ]
+    for argv, code, err in refusals:
+        assert run_cli(capsys, "iset", *argv) == (code, "", err)
 
 
 def test_iset_at_the_enumeration_cutoff(capsys):

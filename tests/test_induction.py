@@ -15,6 +15,7 @@ from isotypic import (
     kostka,
     max_split_multiplicities,
     oracle_count_ssyt,
+    oracle_lr,
     outer_product,
     sign_twist,
     specht_dim,
@@ -23,6 +24,7 @@ from isotypic import (
     splits,
     young_module,
 )
+from isotypic import tableaux
 from isotypic.induction import _pieri_step
 from isotypic.partitions import _conjugate
 from isotypic.tableaux import (
@@ -31,7 +33,7 @@ from isotypic.tableaux import (
     _split_strips,
     _vertical_strips_below,
 )
-from kostka_lr import kostka_lr_split_multiplicity
+from kostka_lr import kostka_lr_split_multiplicity, scan_outer_product
 
 
 @st.composite
@@ -227,6 +229,45 @@ def test_outer_product_associative():
     ]
     for d1, d2, d3 in cases:
         assert outer_product(outer_product(d1, d2), d3) == outer_product(d1, outer_product(d2, d3))
+
+
+def test_outer_product_equals_the_scan_over_every_partition():
+    # every ordered pair of irreducibles of total weight <= 10, so each key
+    # is the base on one side of a tie or a length difference
+    for total in range(0, 11):
+        for a in range(0, total + 1):
+            for lam in enumerate_partitions(a):
+                for mu in enumerate_partitions(total - a):
+                    d1, d2 = irreducible(lam), irreducible(mu)
+                    assert outer_product(d1, d2) == scan_outer_product(d1, d2)
+    products = [
+        (young_module((3, 2, 1)), young_module((2, 2, 1))),
+        (split_module((2, 1), (2,)), young_module((1, 1, 1)) + irreducible((2, 1))),
+    ]
+    for d1, d2 in products:
+        assert outer_product(d1, d2) == scan_outer_product(d1, d2)
+        assert outer_product(d2, d1) == outer_product(d1, d2)
+
+
+def test_outer_product_equals_the_lr_oracle():
+    for total in range(0, 9):
+        shapes = enumerate_partitions(total)
+        for a in range(0, total + 1):
+            for lam in enumerate_partitions(a):
+                for mu in enumerate_partitions(total - a):
+                    expected = {nu: oracle_lr(nu, lam, mu) for nu in shapes}
+                    assert outer_product(irreducible(lam), irreducible(mu)) == Decomposition(
+                        expected, ambient=total
+                    )
+
+
+def test_outer_product_fills_only_the_shapes_of_its_pieri_table():
+    # s_(30) h_(30) reaches the 31 shapes (60 - j, j), each with coefficient
+    # 1; a scan over Par(60) would try 966,467 shapes and fill 28,629
+    before = tableaux._lr.cache_info().currsize
+    product = outer_product(irreducible((30,)), irreducible((30,)))
+    assert product == young_module((30, 30)) and len(product) == 31
+    assert tableaux._lr.cache_info().currsize - before <= 31
 
 
 def test_split_module_examples():
