@@ -206,12 +206,9 @@ def _block_sum(mu: Partition, t: int) -> int:
             paths = _one_cell_tail(table)
             if paths > best_get(lam, 0):
                 best[lam] = paths
-        # A strip wider (horizontal) or longer (vertical) than every shape
-        # of the layer peels it to nothing.  The first shape is nearly always
-        # the widest and the last the longest, so the layer is scanned only
-        # when a strip passes them.
-        wide, tall = next(iter(table))[0], len(next(reversed(table)))
-        scanned = False
+        # a strip wider (horizontal) or longer (vertical) than every shape
+        # of the layer peels it to nothing
+        wide, tall = max(table)[0], max(map(len, table))
         for size in range(min(left, last or left), 1, -1):
             if left - size > size * (room - 1):
                 break  # parts only get smaller; the rest cannot fit in the room
@@ -219,8 +216,6 @@ def _block_sum(mu: Partition, t: int) -> int:
             # part is followed by no horizontal part of its size
             for vertical in (True,) if size == last and last_vertical else (False, True):
                 if size < left:
-                    if size > (tall if vertical else wide) and not scanned:
-                        wide, tall, scanned = max(table)[0], max(map(len, table)), True
                     if size <= (tall if vertical else wide):
                         stack.append((table, parts + (size,), left - size, size, vertical))
                     continue

@@ -6,10 +6,10 @@ its keys are :class:`Partition` values and its ambient is the weight they
 share.  All combinators return fresh values.
 
 Young modules and split modules are built forward from the empty shape,
-and an outer product's shapes from its longer key, by one horizontal Pieri
-step per part (``_pieri_step``), the only forward kernel; the sign parts
-come first, and their table is conjugated once before the trivial parts
-are added.  Tables are keyed by plain tuples, which become partitions
+and an outer product's shapes from its longer key (from the conjugates,
+for two long columns), by one horizontal Pieri step per part
+(``_pieri_step``), the only forward kernel; the sign parts come first,
+and their table is conjugated once before the trivial parts are added.  Tables are keyed by plain tuples, which become partitions
 once, when the module is wrapped.  A step of one cell adds a cell at each
 addable corner in the kernel's own loop.  One unbounded cache,
 ``_split_module``, keeps each module by its trivial and sign sides; a
@@ -197,18 +197,25 @@ def outer_product(d1: Decomposition, d2: Decomposition) -> Decomposition:
     every nu with c^nu_lam,mu != 0 is in the support of s_lam h_mu, one
     Pieri step per part of mu forward from lam.  As c^nu_lam,mu =
     c^nu_mu,lam, the key with more parts is the base (lam on a tie), and
-    the table steps by the parts of the other.
+    the table steps by the parts of the other.  As c^nu_lam,mu =
+    c^nu'_lam',mu', a pair whose shorter first row is shorter than its
+    shorter column (two long columns) takes fewer steps conjugated, and
+    each nu it reaches is conjugated back.
     """
     terms: dict = {}
     for lam, c1 in d1._terms.items():
         for mu, c2 in d2._terms.items():
-            base, other = (lam, mu) if len(lam) >= len(mu) else (mu, lam)
+            flip = min(lam.part(0), mu.part(0)) < min(len(lam), len(mu))
+            a, b = (lam.transpose(), mu.transpose()) if flip else (lam, mu)
+            base, other = (a, b) if len(a) >= len(b) else (b, a)
             table: dict = {base: 1}
             for part in other:
                 table = _pieri_step(table, part)
             for nu in table:
                 c = _lr(nu, base, other)
                 if c:
+                    if flip:
+                        nu = _conjugate(nu)
                     terms[nu] = terms.get(nu, 0) + c1 * c2 * c
     wrap = Partition._from_valid
     terms = {wrap(nu): mult for nu, mult in terms.items()}

@@ -7,11 +7,13 @@ strip is both horizontal and vertical, and c of them empty a shape rho of
 weight c in f^rho ways (a standard tableau read backwards), so every peel
 ends the same way: the hook-length formula counts the ones left on each
 shape of the last layer, and f^() = 1 when none are left.  Strips are
-enumerated by three loops that scan the shape's runs of equal rows depth
-first, without recursion: horizontal strips above a shape, and horizontal
-and vertical strips below it.  The forward build in ``induction`` takes
-its sign side as horizontal strips above the conjugate and conjugates it
-once; the peel interleaves its sides, so it keeps a vertical loop.
+enumerated by two loops that scan the shape's runs of equal rows depth
+first, without recursion: horizontal strips above a shape, and strips
+below it, horizontal or vertical by the peel's own ``(size, vertical)``
+step.  The forward build in ``induction`` takes its sign side as
+horizontal strips above the conjugate and conjugates it once; the peel
+interleaves its sides, so its one removal loop takes either side, and
+only the cells a run may give up depend on the side.
 
 LR coefficients come from a tableau fill in reverse reading order, a loop
 over an explicit stack that keeps only the value at each filled cell, the
@@ -21,7 +23,7 @@ Every enumerator takes and returns plain tuples, in descending order.  The
 forward one (``_horizontal_strips_above``) is the kernel of the forward
 Pieri build in ``induction`` and caches nothing; that build takes its
 one-cell steps itself, a cell at each addable corner.  The backward
-enumerators, the Specht dimensions and the LR coefficients keep their
+enumerator, the Specht dimensions and the LR coefficients keep their
 results in unbounded caches; a plain tuple and a partition with the same
 parts share an entry, since they compare and hash alike.  The peel itself
 answers from a bounded memo of ``_PEEL_MEMO`` entries, keyed by the
@@ -113,16 +115,19 @@ def _horizontal_strips_above(lam: tuple[int, ...], n: int) -> tuple[tuple[int, .
 
 
 @lru_cache(maxsize=None)
-def _horizontal_strips_below(mu: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    # A horizontal strip takes at most one cell per column, so in a run of
-    # equal rows only the lowest row can lose cells, down to the next
-    # shorter part.  Below a run whose next part is q, the later runs can
-    # give up q cells in all (the differences of the parts telescope), so
-    # every state kept ends in a shape.  Depth first over runs, fewer cells
-    # from higher runs first, lists the shapes in descending order; a shape
-    # is done once its cells run out, and the rows below are then copied
-    # from mu.  Only the empty shape, asked for a nonempty strip, runs out
-    # of rows with cells left, and it has no strip to give.
+def _strips_below(mu: tuple[int, ...], n: int, vertical: bool) -> tuple[tuple[int, ...], ...]:
+    # The shapes below mu by a strip of n cells, taken run by run of equal
+    # rows.  A horizontal strip takes at most one cell per column, so only
+    # the lowest row of a run loses cells, down to the next part q, and the
+    # later runs can give up q cells in all (the parts telescope).  A
+    # vertical strip takes at most one cell per row, so the lowest rows of
+    # a run lose one cell each (a row of 1 goes), and the later runs can
+    # give up one cell per row.  A run takes at least the cells the later
+    # runs cannot, so every state kept ends in a shape.  Depth first over
+    # runs, fewer cells from higher runs first, lists the shapes in
+    # descending order; a shape is done once its cells run out, and the
+    # rows below are then copied from mu.  Only the empty shape, asked for
+    # a nonempty strip, runs out of rows with cells left.
     length = len(mu)
     out: list[tuple[int, ...]] = []
     stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), n)]  # (row, rows, cells left)
@@ -136,45 +141,20 @@ def _horizontal_strips_below(mu: tuple[int, ...], n: int) -> tuple[tuple[int, ..
             end = i + 1
             while end < length and mu[end] == part:
                 end += 1
-            nxt = mu[end] if end < length else 0
-            keep = rows + mu[i:end - 1]
-            take = part - nxt if part - nxt < left else left
-            least = left - nxt if left > nxt else 0
+            if vertical:
+                most, later = end - i, length - end
+                lower = (part - 1,) if part > 1 else ()
+            else:
+                later = mu[end] if end < length else 0
+                most = part - later
+                keep = rows + mu[i:end - 1]
+            take = most if most < left else left
+            least = left - later if left > later else 0
             while take >= least:
-                push((end, keep + ((part - take,) if take < part else ()), left - take))
-                take -= 1
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _vertical_strips_below(mu: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    # A vertical strip takes at most one cell per row, so in a run of equal
-    # rows the rows that shrink are the lowest ones of the run, each by one
-    # cell (a row of 1 goes).  The later runs can give up one cell per row,
-    # so a run takes at least the cells that their rows cannot, and every
-    # state kept ends in a shape.  Depth first over runs, fewer cells from
-    # higher runs first, lists the shapes in descending order; a shape is
-    # done once its cells run out, and the rows below are then copied from
-    # mu.  Only the empty shape, asked for a nonempty strip, runs out of
-    # rows with cells left, and it has no strip to give.
-    length = len(mu)
-    out: list[tuple[int, ...]] = []
-    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), n)]  # (row, rows, cells left)
-    push, pop = stack.append, stack.pop
-    while stack:
-        i, rows, left = pop()
-        if not left:
-            out.append(rows + mu[i:])
-        elif i < length:
-            part = mu[i]
-            end = i + 1
-            while end < length and mu[end] == part:
-                end += 1
-            take = end - i if end - i < left else left
-            least = left - (length - end) if left > length - end else 0
-            lower = (part - 1,) if part > 1 else ()
-            while take >= least:
-                push((end, rows + mu[i:end - take] + lower * take, left - take))
+                if vertical:
+                    push((end, rows + mu[i:end - take] + lower * take, left - take))
+                else:
+                    push((end, keep + ((part - take,) if take < part else ()), left - take))
                 take -= 1
     return tuple(out)
 
@@ -189,11 +169,10 @@ def _split_strips(triv: Sequence[int], sign: Sequence[int] = ()) -> tuple[tuple[
 
 def _peel_step(table: dict, size: int, vertical: bool) -> dict:
     # one layer of the peel: every way to remove one strip from each shape
-    strips = _vertical_strips_below if vertical else _horizontal_strips_below
     out: dict = {}
     get = out.get
     for nu, paths in table.items():
-        for rho in strips(nu, size):
+        for rho in _strips_below(nu, size, vertical):
             out[rho] = get(rho, 0) + paths
     return out
 

@@ -31,7 +31,7 @@ from isotypic.tableaux import (
     _horizontal_strips_above,
     _peel,
     _split_strips,
-    _vertical_strips_below,
+    _strips_below,
 )
 from kostka_lr import kostka_lr_split_multiplicity, scan_outer_product
 
@@ -195,7 +195,7 @@ def test_pieri_transpose_duality(dec, n):
     table = _table(dec)
     expected: dict = {}
     for mu in map(tuple, enumerate_partitions(dec.ambient + n)):
-        for lam in _vertical_strips_below(mu, n):
+        for lam in _strips_below(mu, n, True):
             if lam in table:
                 expected[mu] = expected.get(mu, 0) + table[lam]
     assert _sign_step(table, n) == expected
@@ -268,6 +268,17 @@ def test_outer_product_fills_only_the_shapes_of_its_pieri_table():
     product = outer_product(irreducible((30,)), irreducible((30,)))
     assert product == young_module((30, 30)) and len(product) == 31
     assert tableaux._lr.cache_info().currsize - before <= 31
+
+
+def test_outer_product_of_long_columns_steps_their_conjugates():
+    # two columns of 60 would take 60 one-cell steps and fill every shape
+    # that holds the base column; their conjugates take one step of 60
+    before = tableaux._lr.cache_info().currsize
+    column = irreducible((1,) * 60)
+    product = outer_product(column, column)
+    assert len(product) == 61
+    assert product == sign_twist(outer_product(irreducible((60,)), irreducible((60,))))
+    assert tableaux._lr.cache_info().currsize - before <= 61
 
 
 def test_split_module_examples():
