@@ -32,12 +32,24 @@ counted in closed form, in one of two ways.  A prefix with room for its
 weight left in ones closes ``lambda`` = prefix + (1, ..., 1): a one-cell
 strip is both horizontal and vertical, so the side of each 1 does not
 matter, and the ones peel each shape rho of the layer in f^rho ways, its
-number of standard tableaux (``tableaux._one_cell_tail``).  A last part of
-at least 2 leaves a single row or a single column.  The walk keeps its
-pending prefixes on an explicit stack, so its depth, at most min(T, k)
-parts, uses no recursion.  In the equivariant and projection sums every
-split factor is 1, and a block sum is a closed form in the counts of
-partitions by length: the differences of the at-most-length counts that
+number of standard tableaux (``tableaux._one_cell_tail``).  A strip that
+leaves at most two cells is not pushed: its lambda-terms are read off the
+layer before it, the parent's, through the few shapes above what it
+leaves.  A horizontal strip of s cells leaves the empty shape only from
+(s), (1) only from (s+1) and (s,1), (2) only from (s+2), (s+1,1) and
+(s,2), and (1,1) only from (s+1,1) and (s,1,1); a vertical strip leaves
+them from the conjugates.  So a last part of at least 2 reads a single
+row or column; a strip that leaves one cell closes prefix + (s, 1); and
+one that leaves two closes prefix + (s, 1, 1) with the sum of the two
+counts, room allowing, and prefix + (s, 2) with the larger.  After a
+vertical 2 the horizontal closing 2 repeats a split that the walk reaches
+horizontal side first, and the strips commute, so reading it changes no
+maximum.  These reads are gated by the layer's widest row and longest
+column, as the pushes are.  The walk keeps its pending prefixes on an
+explicit stack, so its depth, at most min(T, k) parts, uses no
+recursion.  In the equivariant and projection sums every split factor is
+1, and a block sum is a closed form in the counts of partitions by
+length: the differences of the at-most-length counts that
 ``partitions._row_counts`` streams.  The term cap counts each block in one
 pass, and the equivariant sum is read from that same pass; the projection
 sum reads every fiber weight from one table over 0..k.
@@ -53,7 +65,7 @@ is Sylvester's quasi-polynomial of degree T - 1.  The tests pin this on
 deterministic ``_peel_step`` counts, not on times
 (``test_block_walk_work_grows_polynomially``): doubling k multiplies them
 by at most 2^T, about 2^(T-1), at T = 2 and 4; at k = 100 and T = 4 the
-target (90, 5, 3, 2) takes 7,407 peel steps.
+target (90, 5, 3, 2) takes 6,704 peel steps.
 
 ``affine_multiplicity_bound`` is the one evaluator of the affine sum.  The
 semi-algebraic bound is a binomial prefactor times its value, and the complex
@@ -209,19 +221,47 @@ def _block_sum(mu: Partition, t: int) -> int:
         # a strip wider (horizontal) or longer (vertical) than every shape
         # of the layer peels it to nothing
         wide, tall = max(table)[0], max(map(len, table))
+        get = table.get
         for size in range(min(left, last or left), 1, -1):
             if left - size > size * (room - 1):
                 break  # parts only get smaller; the rest cannot fit in the room
             # at equal parts the horizontal side comes first, so a vertical
             # part is followed by no horizontal part of its size
             for vertical in (True,) if size == last and last_vertical else (False, True):
-                if size < left:
-                    if size <= (tall if vertical else wide):
-                        stack.append((table, parts + (size,), left - size, size, vertical))
+                if size > (tall if vertical else wide):
                     continue
-                # a strip that empties the shape is the whole shape: a row or a column
-                paths = table.get((1,) * size if vertical else (size,), 0)
+                rest = left - size
+                if rest > 2:
+                    stack.append((table, parts + (size,), rest, size, vertical))
+                    continue
+                # a strip that leaves at most two cells is closed from this
+                # layer through the shapes above what it leaves (see the
+                # module docstring); row counts the strips that leave (2) and
+                # col those that leave (1,1), conjugated for a vertical strip
                 lam = parts + (size,)
+                if not rest:
+                    paths = get((1,) * size if vertical else (size,), 0)
+                elif rest == 1:
+                    lam += (1,)
+                    if vertical:
+                        ones = (1,) * (size - 1)
+                        paths = get((1, 1) + ones, 0) + get((2,) + ones, 0)
+                    else:
+                        paths = get((size + 1,), 0) + get((size, 1), 0)
+                else:
+                    if vertical:
+                        ones = (1,) * (size - 1)
+                        both = get((2, 1) + ones, 0)
+                        row = get((1, 1, 1) + ones, 0) + both + get((2, 2) + ones[1:], 0)
+                        col = both + get((3,) + ones, 0)
+                    else:
+                        both = get((size + 1, 1), 0)
+                        row = get((size + 2,), 0) + both + get((size, 2), 0)
+                        col = both + get((size, 1, 1), 0)
+                    if room > 2 and row + col > best_get(lam + (1, 1), 0):
+                        best[lam + (1, 1)] = row + col
+                    lam += (2,)
+                    paths = max(row, col)
                 if paths > best_get(lam, 0):
                     best[lam] = paths
     return sum(t ** len(lam) * mult for lam, mult in best.items())

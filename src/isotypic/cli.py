@@ -25,7 +25,6 @@ from .orbits import (
     mv_check,
     orbit_intersection,
     orbit_union,
-    top_cohomology,
     verify_power_identity,
 )
 from .partitions import (
@@ -195,6 +194,35 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
+def _identity(check) -> tuple[str, dict]:
+    # the power identity's text line and JSON object
+    relation = "==" if check.holds else "!="
+    obj = {"lhs": str(check.lhs), "rhs": str(check.rhs), "holds": check.holds}
+    return f"identity: {check.lhs} {relation} {check.rhs}", obj
+
+
+def _write_top(args, identity: tuple[str, dict] | None) -> int:
+    # The top cohomology is the sign twist of H^0, whose terms are (k - b, b)
+    # with multiplicity k - 2b + 1.  So its terms are (2^b, 1^(k - 2b)) for b
+    # from k // 2 down to 0, already in descending key order, and each is
+    # written as it is made, as the Decomposition of them would print.
+    k, write = args.k, sys.stdout.write
+    json_out = args.format == "json"
+    if json_out:
+        write(f'{{"k": {k}, "top": {{"ambient": {k}, "terms": {{')
+    for b in range(k // 2, -1, -1):
+        key = "[" + ("2," * b + "1," * (k - 2 * b))[:-1] + "]"
+        sep = "" if b == k // 2 else ", " if json_out else " + "
+        write(f'{sep}"{key}": "{k - 2 * b + 1}"' if json_out else f"{sep}{k - 2 * b + 1}*{key}")
+    if json_out:
+        import json
+
+        write("}}" + (f', "identity": {json.dumps(identity[1])}' if identity else "") + "}\n")
+    else:
+        write("\n" + (identity[0] + "\n" if identity else ""))
+    return EXIT_OK
+
+
 def _cmd_example(args) -> int:
     # the cap counts the orbit sum's Young-module terms, min(i, k - i) + 1 for
     # orbit i, but H^0 is the closed form over its support, the stabilizers
@@ -204,20 +232,16 @@ def _cmd_example(args) -> int:
         raise EnumerationCapExceeded(
             f"H^0 of the example sums {terms} terms, above the cap of {args.cap}"
         )
-    spec = example_variety(args.k)
+    spec = example_variety(args.k)  # checks k; H^0 is read from its orbits
+    identity = _identity(verify_power_identity(args.k)) if args.verify_identity else None
+    if args.top:
+        return _write_top(args, identity)
     h0 = Decomposition({s: closed_form_multiplicity(s) for _, s in spec.orbits}, ambient=args.k)
-    dec = top_cohomology(h0) if args.top else h0
-    lines = [str(dec)]
-    obj: dict = {"k": args.k, ("top" if args.top else "h0"): dec.to_json_dict()}
-    if args.verify_identity:
-        check = verify_power_identity(args.k)
-        relation = "==" if check.holds else "!="
-        lines.append(f"identity: {check.lhs} {relation} {check.rhs}")
-        obj["identity"] = {
-            "lhs": str(check.lhs),
-            "rhs": str(check.rhs),
-            "holds": check.holds,
-        }
+    lines = [str(h0)]
+    obj: dict = {"k": args.k, "h0": h0.to_json_dict()}
+    if identity:
+        lines.append(identity[0])
+        obj["identity"] = identity[1]
     _emit(args, obj, lines)
     return EXIT_OK
 

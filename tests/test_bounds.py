@@ -529,7 +529,104 @@ def test_block_walk_work_grows_polynomially(tail, d, m, monkeypatch):
 
 def test_block_walk_peel_steps_at_k_100(monkeypatch):
     params = BoundParams((100,), (2,), 1)
-    assert count_peel_steps(monkeypatch, (90, 5, 3, 2), params) == 7_407
+    assert count_peel_steps(monkeypatch, (90, 5, 3, 2), params) == 6_704
+
+
+@pytest.mark.parametrize(
+    "mu,d,m,steps",
+    # T = 8 and T = 16: 1,710 and 581 steps when every strip that leaves one
+    # or two cells was pushed and peeled
+    [((7, 4, 3, 1, 1, 1, 1), 1, 3, 926), ((9, 2, 2, 1, 1), 1, 4, 312)],
+)
+def test_block_walk_peel_steps_at_bench_sizes(mu, d, m, steps, monkeypatch):
+    assert count_peel_steps(monkeypatch, mu, BoundParams((sum(mu),), (m,), d)) == steps
+
+
+def short_ending(lam):
+    """The ending (s,1), (s,1,1) or (s,2) of ``lam``, with s >= 2, that the
+    block walk closes from the layer before its part s, or None."""
+    ones = lam.count(1)
+    ending = lam[-ones - 1:] if ones else lam[-2:]
+    if ones <= 2 and len(ending) == max(ones + 1, 2) and ending[0] > 1 and ending[-1] <= 2:
+        return ending
+    return None
+
+
+def test_block_walk_closes_short_strips_as_the_splits_do():
+    # The walk reads a strip that leaves at most two cells off its parent's
+    # layer.  The check peels each split of each lambda on its own, as
+    # g_factor does, at thresholds that are not of the form (2d)^m too.
+    # Each ending (s,1), (s,1,1) and (s,2) is met where only the trivial
+    # side of the parts s wins and where only the sign side wins, and
+    # (..., 2, 2) where only both 2s on the sign side win.
+    won, tie_won = set(), False
+    for k in range(1, 10):
+        for mu in enumerate_partitions(k):
+            for t in (2, 3, 4, 5, 8, 16):
+                expected = 0
+                for lam in enumerate_partitions(k, t):
+                    peels = {
+                        sign: bounds._peel(mu, bounds._split_strips(triv, sign))
+                        for triv, sign in splits(lam)
+                        if 1 not in sign
+                    }
+                    best = max(peels.values())
+                    expected += t ** len(lam) * best
+                    ending = short_ending(lam)
+                    if best and ending:
+                        s = ending[0]
+                        sides = {sign.count(s) for sign, n in peels.items() if n == best}
+                        if sides == {0}:
+                            won.add((len(ending), ending[-1], "trivial"))
+                        elif sides == {lam.count(s)}:
+                            won.add((len(ending), ending[-1], "sign"))
+                            tie_won |= ending == (2, 2)
+                assert bounds._block_sum(mu, t) == expected, (mu, t)
+    for ending in ((2, 1), (3, 1), (2, 2)):
+        assert ending + ("trivial",) in won and ending + ("sign",) in won
+    assert tie_won
+
+
+# the last k at which the recurrence of prod_{i <= T} (1 - x^i) fails on
+# k -> _block_sum((k - |nu|, *nu), T), or None when it holds from the start
+# of the window
+RECURRENCE_ONSETS = [
+    ((), None, None),
+    ((1,), 5, 12),
+    ((2,), None, 14),
+    ((1, 1), 8, 15),
+    ((2, 1), 8, 15),
+    ((3, 1), None, 18),
+    ((2, 2), 9, 17),
+    ((1, 1, 1), 10, 19),
+]
+
+
+@pytest.mark.parametrize("nu,onset_2,onset_4", RECURRENCE_ONSETS)
+def test_block_sum_of_a_padded_target_is_a_quasi_polynomial(nu, onset_2, onset_4):
+    # The paper asks whether multiplicities are polynomial in k for large
+    # k.  On the engine's own bound for the padded targets (k - |nu|, nu)
+    # the answer is observed: from some k on the block sum obeys the linear
+    # recurrence whose characteristic polynomial is prod_{i <= T} (1 - x^i),
+    # so it is a quasi-polynomial in k of degree below T.  The window runs
+    # from the least k with k - |nu| >= nu_1 up to 40, and the recurrence is
+    # checked wherever it reaches back no further than the window.
+    for t, onset in ((2, onset_2), (4, onset_4)):
+        char = [1]
+        for i in range(1, t + 1):
+            shifted = [0] * i + char
+            char = [a - b for a, b in itertools.zip_longest(char, shifted, fillvalue=0)]
+        order = len(char) - 1
+        start = max(1, sum(nu) + (nu[0] if nu else 0))
+        values = {
+            k: bounds._block_sum(Partition((k - sum(nu),) + nu), t) for k in range(start, 41)
+        }
+        failing = [
+            k
+            for k in range(start + order, 41)
+            if sum(c * values[k - j] for j, c in enumerate(char))
+        ]
+        assert max(failing, default=None) == onset, (nu, t)
 
 
 def test_term_cap_refuses_before_the_walk(monkeypatch):

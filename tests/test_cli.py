@@ -13,6 +13,7 @@ from isotypic import (
     OrbitSpec,
     admissible_set,
     affine_multiplicity_bound,
+    closed_form_multiplicity,
     enumerate_partitions,
     example_variety,
     h0_decomposition,
@@ -97,6 +98,25 @@ def test_example_prints_its_orbit_sum(capsys):
             assert run_cli(capsys, "example", str(k), *top) == (0, f"{dec}\n", "")
             expected = json.dumps({"k": k, key: dec.to_json_dict()}) + "\n"
             assert run_cli(capsys, "--format", "json", "example", str(k), *top) == (0, expected, "")
+
+
+def test_example_top_streams_the_sign_twist_of_h0(capsys):
+    # --top writes the terms (2^b, 1^(k - 2b)) as it makes them; the check
+    # transposes every key of the closed-form H^0 and prints the result
+    for k in [*range(1, 61), 2000]:
+        spec = example_variety(k)
+        h0 = Decomposition({s: closed_form_multiplicity(s) for _, s in spec.orbits}, ambient=k)
+        top = top_cohomology(h0)
+        for verify in ((), ("--verify-identity",)):
+            text, obj = f"{top}\n", {"k": k, "top": top.to_json_dict()}
+            if verify:
+                lhs = rhs = 2**k
+                text += f"identity: {lhs} == {rhs}\n"
+                obj["identity"] = {"lhs": str(lhs), "rhs": str(rhs), "holds": True}
+            assert run_cli(capsys, "example", str(k), "--top", *verify) == (0, text, "")
+            json_text = json.dumps(obj) + "\n"
+            argv = ("--format", "json", "example", str(k), "--top", *verify)
+            assert run_cli(capsys, *argv) == (0, json_text, "")
 
 
 def test_example_builds_no_module(capsys):
